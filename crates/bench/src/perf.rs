@@ -765,6 +765,12 @@ mod tests {
 
     #[test]
     fn tiny_snapshot_emits_well_formed_json() {
+        // The hss-pcg rows below are compared against their hss-pcg-f32
+        // siblings, so the suite-wide HKRR_FACTOR_PRECISION override (the
+        // CI f32 leg) must not turn the f64 rows into f32 ones. No other
+        // test in this binary fits hss-pcg, so removing the variable
+        // cannot change what they run.
+        std::env::remove_var("HKRR_FACTOR_PRECISION");
         // A deliberately tiny matrix so the test stays fast: one workload,
         // thread counts {1, 2} to force a speedup row even on 1-core hosts.
         let opts = PerfOptions {

@@ -26,8 +26,11 @@
 //!
 //! The ULV factor store is precision-parametric ([`FactorPrecision`]):
 //! factorization always runs in f64, and [`UlvFactorization::to_f32`]
-//! demotes the stored factors for the preconditioner role — see
-//! [`ulv`] and [`precond`] for the contract.
+//! demotes the stored per-node factors for the preconditioner role. The
+//! demotion changes storage only: both precisions run one solve sweep in
+//! f64 arithmetic (the f32 store through widened kernels that read f32),
+//! and the root LU stays f64 — see [`ulv`] and [`precond`] for the
+//! contract.
 
 #![warn(missing_docs)]
 

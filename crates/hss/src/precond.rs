@@ -13,12 +13,12 @@
 //! application is one [`UlvFactorization::solve`].
 //!
 //! The same trade licenses the mixed-precision store: a factorization
-//! demoted with [`UlvFactorization::to_f32`] applies the preconditioner
-//! entirely in f32 (the f64 residual is rounded once on entry and the
-//! result accumulates back to f64 at the leaf boundary), halving the
+//! demoted with [`UlvFactorization::to_f32`] reads its per-node factors
+//! from f32 storage but computes the whole sweep in f64, halving the
 //! memory traffic of the hot apply loop, while PCG keeps iterating in f64
-//! on the exact operator. The demotion error behaves like extra
-//! compression looseness: a few more iterations, the same final accuracy.
+//! on the exact operator. The apply stays a fixed linear operator, and
+//! the factors' one-time storage rounding behaves like extra compression
+//! looseness: a few more iterations, the same final accuracy.
 
 use crate::UlvFactorization;
 use hkrr_linalg::iterative::Preconditioner;

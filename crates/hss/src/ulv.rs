@@ -29,20 +29,18 @@
 //! factorization is used only as a PCG preconditioner on the exact
 //! operator (see [`crate::precond`]).
 //!
-//! The demoted sweep reads f32 storage but computes in f64 through the
-//! widened kernels of the seam
-//! ([`hkrr_linalg::DenseBackendF32::gemv_f64`] and friends), so the apply
-//! stays an exact *linear* operator — the property CG's recurrences rest
-//! on; only the factors' one-time storage rounding separates it from the
-//! f64 preconditioner.
+//! Both precisions run one solve sweep. The f32 store feeds it through
+//! widened kernels that read f32 storage but compute in f64
+//! ([`MatrixF32::gemv_f64`], [`MatrixF32::gemv_t_f64`],
+//! [`LuF32::solve_f64`]), so the apply stays an exact *linear* operator —
+//! the property CG's recurrences rest on; only the factors' one-time
+//! storage rounding separates it from the f64 preconditioner.
 
 use crate::HssMatrix;
 use hkrr_clustering::ClusterTree;
 use hkrr_linalg::lu::{lu, Lu};
 use hkrr_linalg::qr::full_qr;
-use hkrr_linalg::{
-    active_f32, blas, dense_backend, LinalgError, LinalgResult, LuF32, Matrix, MatrixF32,
-};
+use hkrr_linalg::{blas, dense_backend, LinalgError, LinalgResult, LuF32, Matrix, MatrixF32};
 use rayon::prelude::*;
 
 /// Storage precision of a ULV factor store.
@@ -157,22 +155,92 @@ impl UlvNodeFactorF32 {
     }
 }
 
-/// The precision-parametric factor storage behind [`UlvFactorization`].
+/// The block kernels the solve sweep reads one node factor through.
+///
+/// The sweep ([`UlvFactorization::sweep`]) exists once; each store
+/// precision supplies only how its blocks are applied.
+trait SweepNode {
+    /// Number of eliminated unknowns (`m - rank`).
+    fn elim(&self) -> usize;
+    /// Number of unknowns passed to the parent.
+    fn rank(&self) -> usize;
+    /// `y = Wᵀ x`.
+    fn w_t_times(&self, x: &[f64], y: &mut [f64]);
+    /// `y = W x`.
+    fn w_times(&self, x: &[f64], y: &mut [f64]);
+    /// `y = D₁₂ x`.
+    fn d12_times(&self, x: &[f64], y: &mut [f64]);
+    /// `y = D₂₁ x`.
+    fn d21_times(&self, x: &[f64], y: &mut [f64]);
+    /// `D₁₁⁻¹ b` through the eliminated block's LU (`elim > 0` only).
+    fn d11_solve(&self, b: &[f64]) -> LinalgResult<Vec<f64>>;
+}
+
+impl SweepNode for UlvNodeFactor {
+    fn elim(&self) -> usize {
+        self.elim
+    }
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn w_t_times(&self, x: &[f64], y: &mut [f64]) {
+        blas::gemv_t(&self.w, x, y);
+    }
+    fn w_times(&self, x: &[f64], y: &mut [f64]) {
+        blas::gemv(&self.w, x, y);
+    }
+    fn d12_times(&self, x: &[f64], y: &mut [f64]) {
+        blas::gemv(&self.d12, x, y);
+    }
+    fn d21_times(&self, x: &[f64], y: &mut [f64]) {
+        blas::gemv(&self.d21, x, y);
+    }
+    fn d11_solve(&self, b: &[f64]) -> LinalgResult<Vec<f64>> {
+        self.d11_lu.as_ref().unwrap().solve(b)
+    }
+}
+
+/// The demoted store: every block is read from f32 storage, but **all
+/// arithmetic is f64** through the widened kernels.
+///
+/// Computing this way matters for the PCG on top: the apply is then the
+/// exact f64 ULV solve of the f32-*rounded* factorization — a fixed
+/// linear operator whose distance from the f64 preconditioner is the
+/// factors' one-time storage rounding, which behaves like a slightly
+/// looser compression (a few extra iterations). Carrying the sweep
+/// vectors in f32 instead makes every apply nonlinear at the 1e-7 level,
+/// which breaks CG's recurrences and costs several times more iterations
+/// on ill-conditioned systems.
+impl SweepNode for UlvNodeFactorF32 {
+    fn elim(&self) -> usize {
+        self.elim
+    }
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn w_t_times(&self, x: &[f64], y: &mut [f64]) {
+        self.w.gemv_t_f64(x, y);
+    }
+    fn w_times(&self, x: &[f64], y: &mut [f64]) {
+        self.w.gemv_f64(x, y);
+    }
+    fn d12_times(&self, x: &[f64], y: &mut [f64]) {
+        self.d12.gemv_f64(x, y);
+    }
+    fn d21_times(&self, x: &[f64], y: &mut [f64]) {
+        self.d21.gemv_f64(x, y);
+    }
+    fn d11_solve(&self, b: &[f64]) -> LinalgResult<Vec<f64>> {
+        self.d11_lu.as_ref().unwrap().solve_f64(b)
+    }
+}
+
+/// The precision-parametric per-node factor storage behind
+/// [`UlvFactorization`].
 #[derive(Debug, Clone)]
 enum FactorStore {
-    F64 {
-        factors: Vec<Option<UlvNodeFactor>>,
-        root_lu: Lu,
-    },
-    /// Demoted per-node factors with the root LU kept in f64: the root
-    /// system carries the factorization's *global* coupling (and hence its
-    /// worst conditioning), but is only `rank(c1)+rank(c2)` square —
-    /// negligible memory next to the per-node blocks. Rounding it to f32
-    /// measurably degrades the preconditioner; keeping it costs nothing.
-    F32 {
-        factors: Vec<Option<UlvNodeFactorF32>>,
-        root_lu: Lu,
-    },
+    F64(Vec<Option<UlvNodeFactor>>),
+    F32(Vec<Option<UlvNodeFactorF32>>),
 }
 
 /// A ULV factorization of an [`HssMatrix`]; reusable for many right-hand
@@ -186,6 +254,12 @@ enum FactorStore {
 pub struct UlvFactorization {
     tree: ClusterTree,
     store: FactorStore,
+    /// The root system's LU, f64 at both store precisions: the root
+    /// carries the factorization's *global* coupling (and hence its worst
+    /// conditioning), but is only `rank(c1)+rank(c2)` square — negligible
+    /// memory next to the per-node blocks. Rounding it to f32 measurably
+    /// degrades the preconditioner; keeping it costs nothing.
+    root_lu: Lu,
     n: usize,
 }
 
@@ -308,10 +382,10 @@ impl UlvFactorization {
                 .d
                 .as_ref()
                 .expect("single-node HSS stores a dense block");
-            let root_lu = lu(d)?;
             return Ok(UlvFactorization {
                 tree,
-                store: FactorStore::F64 { factors, root_lu },
+                store: FactorStore::F64(factors),
+                root_lu: lu(d)?,
                 n,
             });
         }
@@ -381,11 +455,10 @@ impl UlvFactorization {
         let top = f1.dtilde.hstack(&off12);
         let bottom = off21.hstack(&f2.dtilde);
         let d_root = top.vstack(&bottom);
-        let root_lu = lu(&d_root)?;
-
         Ok(UlvFactorization {
             tree,
-            store: FactorStore::F64 { factors, root_lu },
+            store: FactorStore::F64(factors),
+            root_lu: lu(&d_root)?,
             n,
         })
     }
@@ -420,7 +493,8 @@ impl UlvFactorization {
         let n = validate_parts(&tree, &shapes, root_lu.dim())?;
         Ok(UlvFactorization {
             tree,
-            store: FactorStore::F64 { factors, root_lu },
+            store: FactorStore::F64(factors),
+            root_lu,
             n,
         })
     }
@@ -451,7 +525,8 @@ impl UlvFactorization {
         let n = validate_parts(&tree, &shapes, root_lu.dim())?;
         Ok(UlvFactorization {
             tree,
-            store: FactorStore::F32 { factors, root_lu },
+            store: FactorStore::F32(factors),
+            root_lu,
             n,
         })
     }
@@ -468,27 +543,22 @@ impl UlvFactorization {
     /// metadata are unchanged.
     pub fn to_f32(self) -> Self {
         let store = match self.store {
-            FactorStore::F32 { .. } => self.store,
-            FactorStore::F64 { factors, root_lu } => FactorStore::F32 {
-                factors: factors
+            FactorStore::F32(_) => self.store,
+            FactorStore::F64(factors) => FactorStore::F32(
+                factors
                     .iter()
                     .map(|f| f.as_ref().map(UlvNodeFactorF32::from_f64))
                     .collect(),
-                root_lu,
-            },
+            ),
         };
-        UlvFactorization {
-            tree: self.tree,
-            store,
-            n: self.n,
-        }
+        UlvFactorization { store, ..self }
     }
 
     /// Storage precision of the factor store.
     pub fn precision(&self) -> FactorPrecision {
         match self.store {
-            FactorStore::F64 { .. } => FactorPrecision::F64,
-            FactorStore::F32 { .. } => FactorPrecision::F32,
+            FactorStore::F64(_) => FactorPrecision::F64,
+            FactorStore::F32(_) => FactorPrecision::F32,
         }
     }
 
@@ -512,8 +582,8 @@ impl UlvFactorization {
     /// [`UlvFactorization::node_factors_f32`] there.
     pub fn node_factors(&self) -> &[Option<UlvNodeFactor>] {
         match &self.store {
-            FactorStore::F64 { factors, .. } => factors,
-            FactorStore::F32 { .. } => panic!("node_factors() on an f32 factor store"),
+            FactorStore::F64(factors) => factors,
+            FactorStore::F32(_) => panic!("node_factors() on an f32 factor store"),
         }
     }
 
@@ -523,10 +593,7 @@ impl UlvFactorization {
     /// conditioning) yet is only `rank(c1)+rank(c2)` square, so demoting
     /// it would cost Krylov iterations for no measurable memory.
     pub fn root_lu(&self) -> &Lu {
-        match &self.store {
-            FactorStore::F64 { root_lu, .. } => root_lu,
-            FactorStore::F32 { root_lu, .. } => root_lu,
-        }
+        &self.root_lu
     }
 
     /// Per-node f32 factors of a demoted store.
@@ -535,34 +602,29 @@ impl UlvFactorization {
     /// Panics on an f64 store — branch on [`UlvFactorization::precision`].
     pub fn node_factors_f32(&self) -> &[Option<UlvNodeFactorF32>] {
         match &self.store {
-            FactorStore::F32 { factors, .. } => factors,
-            FactorStore::F64 { .. } => panic!("node_factors_f32() on an f64 factor store"),
+            FactorStore::F32(factors) => factors,
+            FactorStore::F64(_) => panic!("node_factors_f32() on an f64 factor store"),
         }
     }
 
     /// Solves `A x = b`, dispatching on the store precision.
     pub fn solve(&self, b: &[f64]) -> LinalgResult<Vec<f64>> {
         assert_eq!(b.len(), self.n, "UlvFactorization::solve: rhs length");
+        if self.tree.num_nodes() == 1 {
+            return self.root_lu.solve(b);
+        }
         match &self.store {
-            FactorStore::F64 { factors, root_lu } => self.solve_f64(b, factors, root_lu),
-            FactorStore::F32 { factors, root_lu } => self.solve_f32(b, factors, root_lu),
+            FactorStore::F64(factors) => self.sweep(factors, b),
+            FactorStore::F32(factors) => self.sweep(factors, b),
         }
     }
 
-    /// The historical f64 sweep — bitwise identical to the pre-seam solve.
-    fn solve_f64(
-        &self,
-        b: &[f64],
-        factors: &[Option<UlvNodeFactor>],
-        root_lu: &Lu,
-    ) -> LinalgResult<Vec<f64>> {
+    /// The ULV solve sweep, shared by both store precisions: only the
+    /// per-node block kernels ([`SweepNode`]) differ; the root system
+    /// always solves through the f64 root LU.
+    fn sweep<F: SweepNode>(&self, factors: &[Option<F>], b: &[f64]) -> LinalgResult<Vec<f64>> {
         let tree = &self.tree;
         let root = tree.root();
-
-        if tree.num_nodes() == 1 {
-            return root_lu.solve(b);
-        }
-
         let post = tree.postorder();
 
         // Upward sweep: transform and partially eliminate the rhs.
@@ -586,13 +648,13 @@ impl UlvFactorization {
                     .collect()
             };
             let mut bprime = vec![0.0; b_local.len()];
-            blas::gemv_t(&f.w, &b_local, &mut bprime);
-            let b1 = bprime[..f.elim].to_vec();
-            let b2 = bprime[f.elim..].to_vec();
-            let reduced = if f.elim > 0 {
-                let y1 = f.d11_lu.as_ref().unwrap().solve(&b1)?;
-                let mut corr = vec![0.0; f.rank];
-                blas::gemv(&f.d21, &y1, &mut corr);
+            f.w_t_times(&b_local, &mut bprime);
+            let b1 = bprime[..f.elim()].to_vec();
+            let b2 = bprime[f.elim()..].to_vec();
+            let reduced = if f.elim() > 0 {
+                let y1 = f.d11_solve(&b1)?;
+                let mut corr = vec![0.0; f.rank()];
+                f.d21_times(&y1, &mut corr);
                 b2.iter().zip(corr.iter()).map(|(a, c)| a - c).collect()
             } else {
                 b2
@@ -610,11 +672,11 @@ impl UlvFactorization {
             .chain(btilde[c2].iter())
             .copied()
             .collect();
-        let w_root = root_lu.solve(&b_root)?;
+        let w_root = self.root_lu.solve(&b_root)?;
 
         // Downward sweep: recover the eliminated unknowns.
         let mut w2: Vec<Vec<f64>> = vec![Vec::new(); tree.num_nodes()];
-        let k1 = factors[c1].as_ref().unwrap().rank;
+        let k1 = factors[c1].as_ref().unwrap().rank();
         w2[c1] = w_root[..k1].to_vec();
         w2[c2] = w_root[k1..].to_vec();
 
@@ -626,147 +688,27 @@ impl UlvFactorization {
             let node = tree.node(id);
             let f = factors[id].as_ref().unwrap();
             let w2_i = &w2[id];
-            debug_assert_eq!(w2_i.len(), f.rank, "missing skeleton solution");
-            let w1 = if f.elim > 0 {
+            debug_assert_eq!(w2_i.len(), f.rank(), "missing skeleton solution");
+            let w1 = if f.elim() > 0 {
                 let mut rhs = b1_store[id].clone();
-                let mut corr = vec![0.0; f.elim];
-                blas::gemv(&f.d12, w2_i, &mut corr);
+                let mut corr = vec![0.0; f.elim()];
+                f.d12_times(w2_i, &mut corr);
                 for (r, c) in rhs.iter_mut().zip(corr.iter()) {
                     *r -= c;
                 }
-                f.d11_lu.as_ref().unwrap().solve(&rhs)?
-            } else {
-                Vec::new()
-            };
-            let w_full: Vec<f64> = w1.iter().chain(w2_i.iter()).copied().collect();
-            let mut v = vec![0.0; w_full.len()];
-            blas::gemv(&f.w, &w_full, &mut v);
-            if node.is_leaf() {
-                x[node.range()].copy_from_slice(&v);
-            } else {
-                let cl = node.left.unwrap();
-                let cr = node.right.unwrap();
-                let kl = factors[cl].as_ref().unwrap().rank;
-                w2[cl] = v[..kl].to_vec();
-                w2[cr] = v[kl..].to_vec();
-            }
-        }
-        Ok(x)
-    }
-
-    /// The demoted sweep: the same operation sequence as [`Self::solve_f64`]
-    /// with every per-node block read from f32 storage but **all
-    /// arithmetic in f64** through the widened kernels of the
-    /// [`active_f32`] seam (`gemv_f64` / `gemv_t_f64` /
-    /// [`LuF32::solve_f64`]); the root system solves through its retained
-    /// f64 LU.
-    ///
-    /// Computing this way matters for the PCG on top: the apply is then the
-    /// exact f64 ULV solve of the f32-*rounded* factorization — a fixed
-    /// linear operator whose distance from the f64 preconditioner is the
-    /// factors' one-time storage rounding, which behaves like a slightly
-    /// looser compression (a few extra iterations). Carrying the sweep
-    /// vectors in f32 instead makes every apply nonlinear at the 1e-7
-    /// level, which breaks CG's recurrences and costs several times more
-    /// iterations on ill-conditioned systems.
-    fn solve_f32(
-        &self,
-        b: &[f64],
-        factors: &[Option<UlvNodeFactorF32>],
-        root_lu: &Lu,
-    ) -> LinalgResult<Vec<f64>> {
-        let tree = &self.tree;
-        let root = tree.root();
-        let be = active_f32();
-
-        if tree.num_nodes() == 1 {
-            return root_lu.solve(b);
-        }
-
-        let post = tree.postorder();
-
-        // Upward sweep.
-        let mut b1_store: Vec<Vec<f64>> = vec![Vec::new(); tree.num_nodes()];
-        let mut btilde: Vec<Vec<f64>> = vec![Vec::new(); tree.num_nodes()];
-        for &id in &post {
-            if id == root {
-                continue;
-            }
-            let node = tree.node(id);
-            let f = factors[id].as_ref().unwrap();
-            let b_local: Vec<f64> = if node.is_leaf() {
-                b[node.range()].to_vec()
-            } else {
-                let c1 = node.left.unwrap();
-                let c2 = node.right.unwrap();
-                btilde[c1]
-                    .iter()
-                    .chain(btilde[c2].iter())
-                    .copied()
-                    .collect()
-            };
-            let mut bprime = vec![0.0f64; b_local.len()];
-            be.gemv_t_f64(&f.w, &b_local, &mut bprime);
-            let b1 = bprime[..f.elim].to_vec();
-            let b2 = bprime[f.elim..].to_vec();
-            let reduced = if f.elim > 0 {
-                let y1 = f.d11_lu.as_ref().unwrap().solve_f64(&b1)?;
-                let mut corr = vec![0.0f64; f.rank];
-                be.gemv_f64(&f.d21, &y1, &mut corr);
-                b2.iter().zip(corr.iter()).map(|(a, c)| a - c).collect()
-            } else {
-                b2
-            };
-            b1_store[id] = b1;
-            btilde[id] = reduced;
-        }
-
-        // Root solve.
-        let root_node = tree.node(root);
-        let c1 = root_node.left.unwrap();
-        let c2 = root_node.right.unwrap();
-        let b_root: Vec<f64> = btilde[c1]
-            .iter()
-            .chain(btilde[c2].iter())
-            .copied()
-            .collect();
-        let w_root = root_lu.solve(&b_root)?;
-
-        // Downward sweep.
-        let mut w2: Vec<Vec<f64>> = vec![Vec::new(); tree.num_nodes()];
-        let k1 = factors[c1].as_ref().unwrap().rank;
-        w2[c1] = w_root[..k1].to_vec();
-        w2[c2] = w_root[k1..].to_vec();
-
-        let mut x = vec![0.0f64; self.n];
-        for &id in post.iter().rev() {
-            if id == root {
-                continue;
-            }
-            let node = tree.node(id);
-            let f = factors[id].as_ref().unwrap();
-            let w2_i = &w2[id];
-            debug_assert_eq!(w2_i.len(), f.rank, "missing skeleton solution");
-            let w1 = if f.elim > 0 {
-                let mut rhs = b1_store[id].clone();
-                let mut corr = vec![0.0f64; f.elim];
-                be.gemv_f64(&f.d12, w2_i, &mut corr);
-                for (r, c) in rhs.iter_mut().zip(corr.iter()) {
-                    *r -= c;
-                }
-                f.d11_lu.as_ref().unwrap().solve_f64(&rhs)?
+                f.d11_solve(&rhs)?
             } else {
                 Vec::new()
             };
             let w_full: Vec<f64> = w1.iter().chain(w2_i.iter()).copied().collect();
             if node.is_leaf() {
-                be.gemv_f64(&f.w, &w_full, &mut x[node.range()]);
+                f.w_times(&w_full, &mut x[node.range()]);
             } else {
-                let mut v = vec![0.0f64; w_full.len()];
-                be.gemv_f64(&f.w, &w_full, &mut v);
+                let mut v = vec![0.0; w_full.len()];
+                f.w_times(&w_full, &mut v);
                 let cl = node.left.unwrap();
                 let cr = node.right.unwrap();
-                let kl = factors[cl].as_ref().unwrap().rank;
+                let kl = factors[cl].as_ref().unwrap().rank();
                 w2[cl] = v[..kl].to_vec();
                 w2[cr] = v[kl..].to_vec();
             }
@@ -796,37 +738,32 @@ impl UlvFactorization {
     /// half-width *and* the factorization-only `dtilde`/`uhat` blocks are
     /// gone.
     pub fn memory_bytes(&self) -> usize {
-        match &self.store {
-            FactorStore::F64 { factors, root_lu } => {
-                let node_mem: usize = factors
-                    .iter()
-                    .flatten()
-                    .map(|f| {
-                        f.w.memory_bytes()
-                            + f.d12.memory_bytes()
-                            + f.d21.memory_bytes()
-                            + f.dtilde.memory_bytes()
-                            + f.uhat.memory_bytes()
-                            + f.elim * f.elim * std::mem::size_of::<f64>()
-                    })
-                    .sum();
-                node_mem + root_lu.dim() * root_lu.dim() * std::mem::size_of::<f64>()
-            }
-            FactorStore::F32 { factors, root_lu } => {
-                let node_mem: usize = factors
-                    .iter()
-                    .flatten()
-                    .map(|f| {
-                        f.w.memory_bytes()
-                            + f.d12.memory_bytes()
-                            + f.d21.memory_bytes()
-                            + f.elim * f.elim * std::mem::size_of::<f32>()
-                    })
-                    .sum();
-                // The root LU stays f64 in a demoted store.
-                node_mem + root_lu.dim() * root_lu.dim() * std::mem::size_of::<f64>()
-            }
-        }
+        let node_mem: usize = match &self.store {
+            FactorStore::F64(factors) => factors
+                .iter()
+                .flatten()
+                .map(|f| {
+                    f.w.memory_bytes()
+                        + f.d12.memory_bytes()
+                        + f.d21.memory_bytes()
+                        + f.dtilde.memory_bytes()
+                        + f.uhat.memory_bytes()
+                        + f.elim * f.elim * std::mem::size_of::<f64>()
+                })
+                .sum(),
+            FactorStore::F32(factors) => factors
+                .iter()
+                .flatten()
+                .map(|f| {
+                    f.w.memory_bytes()
+                        + f.d12.memory_bytes()
+                        + f.d21.memory_bytes()
+                        + f.elim * f.elim * std::mem::size_of::<f32>()
+                })
+                .sum(),
+        };
+        // The root LU is f64 at both precisions.
+        node_mem + self.root_lu.dim() * self.root_lu.dim() * std::mem::size_of::<f64>()
     }
 }
 
@@ -1139,6 +1076,38 @@ mod tests {
             .sqrt();
         let den = blas::nrm2(&x64);
         assert!(num / den < 1e-4, "relative demotion error {}", num / den);
+    }
+
+    #[test]
+    fn f32_store_sweeps_like_the_f64_store_of_the_same_values() {
+        // Round every solve-path block through f32 while keeping it in an
+        // f64 store: both stores then hold the same values, so the widened
+        // kernels must reproduce the f64 sweep bit for bit.
+        let (_, hss) = build_shifted(160, 0.08, 1.5, 1e-6);
+        let f = UlvFactorization::factor(&hss).unwrap();
+        let round = |m: &Matrix| MatrixF32::from_f64(m).to_f64();
+        let rounded: Vec<Option<UlvNodeFactor>> = f
+            .node_factors()
+            .iter()
+            .map(|nf| {
+                nf.as_ref().map(|nf| UlvNodeFactor {
+                    w: round(&nf.w),
+                    d11_lu: nf.d11_lu.as_ref().map(|l| {
+                        Lu::from_parts(round(l.packed()), l.pivots().to_vec(), l.sign()).unwrap()
+                    }),
+                    d12: round(&nf.d12),
+                    d21: round(&nf.d21),
+                    ..nf.clone()
+                })
+            })
+            .collect();
+        let f64_store =
+            UlvFactorization::from_parts(f.tree().clone(), rounded, f.root_lu().clone()).unwrap();
+        let f32_store = f64_store.clone().to_f32();
+        assert_eq!(f32_store.precision(), FactorPrecision::F32);
+        let mut rng = Pcg64::seed_from_u64(37);
+        let b: Vec<f64> = (0..160).map(|_| rng.next_gaussian()).collect();
+        assert_eq!(f64_store.solve(&b).unwrap(), f32_store.solve(&b).unwrap());
     }
 
     #[test]

@@ -21,7 +21,6 @@ use super::{
     trsm_upper_rowsweep, DenseBackend,
 };
 use crate::matrix::Matrix;
-use crate::matrix_f32::MatrixF32;
 use crate::LinalgResult;
 use std::arch::x86_64::*;
 
@@ -128,87 +127,6 @@ fn sq_distance_avx2(x: &[f64], y: &[f64]) -> f64 {
     }
     // SAFETY: avx2+fma are verified before this backend is handed out.
     unsafe { sq_distance_body(x, y) }
-}
-
-// ---------------------------------------------------------------------------
-// Single-precision microkernel for the mixed-precision factor store
-// (`super::fp32`).  Same register-tile shape as the f64 kernel above, but a
-// ymm now carries 8 f32 lanes, so one load covers the whole 8-wide tile row.
-// ---------------------------------------------------------------------------
-
-/// # Safety
-/// Requires avx2+fma (guaranteed by the selection layer); each `a4[r]` must
-/// be valid for `kdim` reads, `b` for `kdim * n` reads, each `c4[r]` for
-/// writes in `[0, n8)`, and `n8 <= n` must be a multiple of 8.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_f32_4rows(
-    kdim: usize,
-    n: usize,
-    n8: usize,
-    a4: [*const f32; 4],
-    b: *const f32,
-    c4: [*mut f32; 4],
-) {
-    let mut j = 0;
-    while j < n8 {
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for k in 0..kdim {
-            let bv = _mm256_loadu_ps(b.add(k * n + j));
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*a4[r].add(k));
-                *acc_r = _mm256_fmadd_ps(av, bv, *acc_r);
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c4[r].add(j), *acc_r);
-        }
-        j += 8;
-    }
-}
-
-/// AVX2 tile worker for the shared f32 GEMM driver
-/// (`super::fp32::gemm_f32_driver`): computes `rcount ≤ 4` output rows
-/// starting at global row `i0` into `rows` (`rcount × n`), SIMD on the
-/// 4-row × 8-column interior and scalar ascending-`k` loops on the fringes.
-pub(crate) fn gemm_f32_tile_rows_avx2(
-    rows: &mut [f32],
-    i0: usize,
-    rcount: usize,
-    a: &MatrixF32,
-    b: &MatrixF32,
-) {
-    let n = b.ncols();
-    let kdim = a.ncols();
-    rows.fill(0.0);
-    let n8 = n - n % 8;
-    if rcount == 4 && n8 > 0 {
-        debug_assert_eq!(rows.len(), 4 * n);
-        let a4 = [
-            a.row(i0).as_ptr(),
-            a.row(i0 + 1).as_ptr(),
-            a.row(i0 + 2).as_ptr(),
-            a.row(i0 + 3).as_ptr(),
-        ];
-        // SAFETY: avx2+fma are verified before this backend is handed out;
-        // the four destination rows are disjoint `n`-long stretches of
-        // `rows` (asserted above) and the kernel writes only `[0, n8)`.
-        unsafe {
-            let base = rows.as_mut_ptr();
-            let c4 = [base, base.add(n), base.add(2 * n), base.add(3 * n)];
-            micro_f32_4rows(kdim, n, n8, a4, b.data().as_ptr(), c4);
-        }
-    }
-    let j_start = if rcount == 4 { n8 } else { 0 };
-    for r in 0..rcount {
-        let a_row = a.row(i0 + r);
-        for j in j_start..n {
-            let mut s = 0.0f32;
-            for (k, &aik) in a_row.iter().enumerate().take(kdim) {
-                s += aik * b.data()[k * n + j];
-            }
-            rows[r * n + j] = s;
-        }
-    }
 }
 
 impl DenseBackend for Avx2Backend {

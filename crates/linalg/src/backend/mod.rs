@@ -29,10 +29,12 @@
 //! [`BackendKind::Scalar`] (SIMD and blocking reorder floating-point sums),
 //! which the cross-backend proptest suite enforces componentwise.
 //!
-//! The trait takes `&self` and plain `f64` buffers; the mixed-precision
-//! factor store plugs in as the sibling seam [`fp32::DenseBackendF32`]
-//! (selected by the *same* `HKRR_DENSE_BACKEND` choice via
-//! [`fp32::active_f32`]) rather than by widening this trait.
+//! The trait takes `&self` and plain `f64` buffers only. The
+//! mixed-precision factor store does not go through it: its solve reads
+//! f32 storage through the two widened GEMVs on
+//! [`MatrixF32`](crate::MatrixF32) and
+//! [`LuF32::solve_f64`](crate::LuF32::solve_f64), which compute in f64
+//! and call no backend.
 
 use crate::matrix::Matrix;
 use crate::LinalgResult;
@@ -41,15 +43,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod blocked;
-pub mod fp32;
 mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2Backend;
 pub use blocked::BlockedBackend;
-#[cfg(target_arch = "x86_64")]
-pub use fp32::Avx2BackendF32;
-pub use fp32::{active_f32, BlockedBackendF32, DenseBackendF32, ScalarBackendF32};
 pub use scalar::ScalarBackend;
 
 /// In-place dense kernels every backend must provide.

@@ -41,12 +41,13 @@
 //!
 //! ## Mixed precision
 //!
-//! The mixed-precision factor store lives behind a sibling seam:
-//! [`MatrixF32`] holds demoted factor panels, [`LuF32`] the demoted root
-//! factorization, and [`DenseBackendF32`] ([`backend::fp32`]) the f32
-//! kernels that apply them — including the `f32 → f64` accumulating GEMV
-//! used where single-precision factors meet double-precision iteration
-//! vectors.  The same `HKRR_DENSE_BACKEND` choice governs both seams.
+//! The mixed-precision factor store is storage, not a second backend:
+//! [`MatrixF32`] holds demoted factor blocks and [`LuF32`] demoted
+//! eliminated-block factorizations. They are applied by three widened
+//! kernels that read f32 and compute in f64 —
+//! [`MatrixF32::gemv_f64`], [`MatrixF32::gemv_t_f64`] and
+//! [`LuF32::solve_f64`] — which call no [`DenseBackend`], so the
+//! `HKRR_DENSE_BACKEND` choice does not change them.
 
 #![warn(missing_docs)]
 
@@ -65,7 +66,7 @@ pub mod random;
 pub mod svd;
 pub mod triangular;
 
-pub use backend::{active_f32, dense_backend, BackendKind, DenseBackend, DenseBackendF32};
+pub use backend::{dense_backend, BackendKind, DenseBackend};
 pub use iterative::{pcg, JacobiPreconditioner, PcgOptions, PcgResult, Preconditioner};
 pub use low_rank::LowRank;
 pub use lu::{is_permutation, LuF32};

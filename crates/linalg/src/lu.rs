@@ -4,7 +4,7 @@
 //! dense solve at the root; that solve (and the dense baselines in the
 //! benchmarks) uses this module.  [`LuF32`] is the demoted sibling the
 //! mixed-precision factor store applies: pivoting always runs in f64, the
-//! factor is *stored* and back-substituted in f32.
+//! factor is *stored* in f32 and back-substituted in f64.
 
 use crate::matrix::Matrix;
 use crate::matrix_f32::MatrixF32;
@@ -212,8 +212,9 @@ impl Lu {
 /// demoted to f32.
 ///
 /// Never produced by factoring in f32 — always by demoting an f64
-/// factorization whose pivot order is therefore exact.  Solves mirror
-/// [`Lu::solve`] operation for operation in single precision.
+/// factorization whose pivot order is therefore exact.  Its one solve,
+/// [`LuF32::solve_f64`], mirrors [`Lu::solve`] operation for operation
+/// with every factor entry widened to f64.
 #[derive(Debug, Clone)]
 pub struct LuF32 {
     packed: MatrixF32,
@@ -317,59 +318,6 @@ impl LuF32 {
             }
             x[i] = s / d as f64;
         }
-        Ok(x)
-    }
-
-    /// Solves `A x = b` in single precision (same permute / forward /
-    /// backward sweep as [`Lu::solve`]).
-    pub fn solve(&self, b: &[f32]) -> LinalgResult<Vec<f32>> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "LuF32::solve: rhs length mismatch");
-        let mut x: Vec<f32> = self.pivots.iter().map(|&p| b[p]).collect();
-        for i in 0..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.packed[(i, j)] * x[j];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.packed[(i, j)] * x[j];
-            }
-            let d = self.packed[(i, i)];
-            if d == 0.0 {
-                return Err(LinalgError::Singular { pivot: i });
-            }
-            x[i] = s / d;
-        }
-        Ok(x)
-    }
-
-    /// Solves `A X = B` for a matrix of f32 right-hand sides, finishing
-    /// with the active f32 backend's upper TRSM (mirrors
-    /// [`Lu::solve_multi`]).
-    pub fn solve_multi(&self, b: &MatrixF32) -> LinalgResult<MatrixF32> {
-        let n = self.dim();
-        assert_eq!(b.nrows(), n, "LuF32::solve_multi: dim mismatch");
-        let r = b.ncols();
-        let mut x = MatrixF32::zeros(n, r);
-        for (i, &p) in self.pivots.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(b.row(p));
-        }
-        for i in 0..n {
-            for j in 0..i {
-                let lij = self.packed[(i, j)];
-                let (done, rest) = x.data_mut().split_at_mut(i * r);
-                let xj = &done[j * r..(j + 1) * r];
-                let xi = &mut rest[..r];
-                for (xic, xjc) in xi.iter_mut().zip(xj.iter()) {
-                    *xic -= lij * xjc;
-                }
-            }
-        }
-        crate::backend::active_f32().trsm_upper_into(&self.packed, &mut x)?;
         Ok(x)
     }
 }
@@ -519,13 +467,6 @@ mod tests {
         assert_eq!(f32f.dim(), n);
         assert_eq!(f32f.pivots(), f.pivots());
         assert!(f32f.memory_bytes() * 2 < f.packed().memory_bytes() + n * 24);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let x64 = f.solve(&b).unwrap();
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let x32 = f32f.solve(&b32).unwrap();
-        for (w, s) in x64.iter().zip(x32.iter()) {
-            assert!((w - *s as f64).abs() < 1e-5, "f64 {w} vs f32 {s}");
-        }
     }
 
     #[test]
@@ -550,28 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn demoted_lu_multi_rhs_matches_per_column_solves() {
-        let mut rng = Pcg64::seed_from_u64(13);
-        let n = 10;
-        let mut a = gaussian_matrix(&mut rng, n, n);
-        a.shift_diagonal(5.0);
-        let f32f = LuF32::from_lu(&lu(&a).unwrap());
-        let b = gaussian_matrix(&mut rng, n, 3);
-        let x = f32f.solve_multi(&MatrixF32::from_f64(&b)).unwrap();
-        for c in 0..3 {
-            let col: Vec<f32> = (0..n).map(|i| b[(i, c)] as f32).collect();
-            let xc = f32f.solve(&col).unwrap();
-            for i in 0..n {
-                assert!((x[(i, c)] - xc[i]).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
     fn lu_f32_from_parts_validates() {
         let ident = MatrixF32::from_f64(&Matrix::identity(3));
         assert!(LuF32::from_parts(ident.clone(), vec![0, 1, 2], 1.0).is_ok());
-        assert!(LuF32::from_parts(MatrixF32::zeros(3, 4), vec![0, 1, 2], 1.0).is_err());
+        let wide = MatrixF32::from_vec(3, 4, vec![0.0; 12]);
+        assert!(LuF32::from_parts(wide, vec![0, 1, 2], 1.0).is_err());
         assert!(LuF32::from_parts(ident.clone(), vec![0, 0, 2], 1.0).is_err());
         assert!(LuF32::from_parts(ident, vec![0, 1, 2], 0.5).is_err());
     }

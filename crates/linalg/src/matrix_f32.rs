@@ -1,14 +1,15 @@
 //! Row-major single-precision dense matrix — the storage type of the
 //! mixed-precision factor store.
 //!
-//! [`MatrixF32`] deliberately exposes only the surface the f32 apply path
-//! needs (construction, conversion to/from [`Matrix`], row access and raw
-//! data): it is a *storage* format for factors that are applied, never
-//! re-factored, so the full f64 [`Matrix`] API (QR, submatrices, stacking,
-//! …) has no f32 twin. Halving the bytes per entry halves both the factor
-//! memory and the memory bandwidth of the preconditioner-apply loop, which
-//! is exactly the win the paper's tolerance study licenses for loose
-//! factors.
+//! [`MatrixF32`] deliberately exposes only the surface the factor store
+//! and the model codec need (construction, conversion from [`Matrix`],
+//! row access, raw data) plus the two widened GEMVs the f32 ULV solve is
+//! built from: it is a *storage* format for factors that are applied,
+//! never re-factored, so the full f64 [`Matrix`] API (QR, submatrices,
+//! stacking, …) has no f32 twin. Halving the bytes per entry halves both
+//! the factor memory and the memory bandwidth of the preconditioner-apply
+//! loop, which is exactly the win the paper's tolerance study licenses
+//! for loose factors.
 
 use crate::matrix::Matrix;
 
@@ -21,15 +22,6 @@ pub struct MatrixF32 {
 }
 
 impl MatrixF32 {
-    /// An `nrows × ncols` matrix of zeros.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        MatrixF32 {
-            nrows,
-            ncols,
-            data: vec![0.0; nrows * ncols],
-        }
-    }
-
     /// Builds a matrix from row-major data.
     ///
     /// # Panics
@@ -71,19 +63,9 @@ impl MatrixF32 {
         self.ncols
     }
 
-    /// `(nrows, ncols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.nrows, self.ncols)
-    }
-
     /// Whether the matrix is square.
     pub fn is_square(&self) -> bool {
         self.nrows == self.ncols
-    }
-
-    /// Whether the matrix has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Row-major backing data.
@@ -91,24 +73,55 @@ impl MatrixF32 {
         &self.data
     }
 
-    /// Mutable row-major backing data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
-    /// Row `i` as a mutable slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
-    }
-
     /// Heap bytes held by the matrix data.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
+    }
+
+    /// Widened product `y = A x`: f32-*stored* matrix, f64 vectors, every
+    /// operation in f64 (each `a_ij` is widened in registers).
+    ///
+    /// This is the kernel the mixed-precision ULV apply is built from: the
+    /// factors pay only their one storage rounding, so the whole sweep is
+    /// an exact *linear* f64 operator — exactly what CG's recurrences
+    /// assume of a preconditioner.
+    ///
+    /// Ascending-`j` dot per row: the operation order of
+    /// [`crate::blas::gemv`].
+    pub fn gemv_f64(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(self.ncols, x.len(), "gemv f32/f64: A.ncols != x.len");
+        assert_eq!(self.nrows, y.len(), "gemv f32/f64: A.nrows != y.len");
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut s = 0.0f64;
+            for (aij, xj) in self.row(i).iter().zip(x.iter()) {
+                s += *aij as f64 * xj;
+            }
+            *yi = s;
+        }
+    }
+
+    /// Widened transposed product `y = Aᵀ x` — see
+    /// [`MatrixF32::gemv_f64`].
+    ///
+    /// Zero, then ascending-row axpy: the operation order of
+    /// [`crate::blas::gemv_t`].
+    pub fn gemv_t_f64(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(self.nrows, x.len(), "gemv_t f32/f64: A.nrows != x.len");
+        assert_eq!(self.ncols, y.len(), "gemv_t f32/f64: A.ncols != y.len");
+        for yi in y.iter_mut() {
+            *yi = 0.0;
+        }
+        for i in 0..self.nrows {
+            let xi = x[i];
+            for (yj, aij) in y.iter_mut().zip(self.row(i).iter()) {
+                *yj += xi * *aij as f64;
+            }
+        }
     }
 }
 
@@ -117,12 +130,6 @@ impl std::ops::Index<(usize, usize)> for MatrixF32 {
 
     fn index(&self, (i, j): (usize, usize)) -> &f32 {
         &self.data[i * self.ncols + j]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for MatrixF32 {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f32 {
-        &mut self.data[i * self.ncols + j]
     }
 }
 
@@ -146,6 +153,7 @@ impl std::fmt::Debug for MatrixF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::Pcg64;
 
     #[test]
     fn roundtrip_through_f64_is_exact() {
@@ -165,14 +173,41 @@ mod tests {
 
     #[test]
     fn rows_and_memory_accounting() {
-        let mut m = MatrixF32::zeros(3, 4);
-        m.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let mut data = vec![0.0f32; 12];
+        data[4..8].copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        data[8] = 9.0;
+        let m = MatrixF32::from_vec(3, 4, data);
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.shape(), (3, 4));
+        assert_eq!((m.nrows(), m.ncols()), (3, 4));
         assert!(!m.is_square());
         assert_eq!(m.memory_bytes(), 3 * 4 * 4);
-        m[(2, 0)] = 9.0;
         assert_eq!(m[(2, 0)], 9.0);
+    }
+
+    #[test]
+    fn widened_gemv_matches_f64_on_exactly_representable_data() {
+        // Integer-valued entries are exact in both precisions, so the
+        // widened kernels must reproduce the f64 reference bitwise.
+        let mut rng = Pcg64::seed_from_u64(113);
+        let m = 13;
+        let n = 9;
+        let data: Vec<f64> = (0..m * n)
+            .map(|_| (rng.next_gaussian() * 4.0).round())
+            .collect();
+        let a64 = Matrix::from_vec(m, n, data);
+        let a32 = MatrixF32::from_f64(&a64);
+        let x: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
+        let xt: Vec<f64> = (0..m).map(|_| rng.next_gaussian()).collect();
+        let mut y_ref = vec![0.0f64; m];
+        crate::blas::gemv(&a64, &x, &mut y_ref);
+        let mut yt_ref = vec![0.0f64; n];
+        crate::blas::gemv_t(&a64, &xt, &mut yt_ref);
+        let mut y = vec![0.0f64; m];
+        a32.gemv_f64(&x, &mut y);
+        assert_eq!(y, y_ref, "gemv_f64");
+        let mut yt = vec![0.0f64; n];
+        a32.gemv_t_f64(&xt, &mut yt);
+        assert_eq!(yt, yt_ref, "gemv_t_f64");
     }
 
     #[test]

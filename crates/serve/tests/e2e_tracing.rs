@@ -54,12 +54,21 @@ fn spawn_shard(model: &str, shard: usize, trace_path: &str) -> (Child, String) {
     let stdout = child.stdout.take().unwrap();
     let mut reader = std::io::BufReader::new(stdout);
     let mut line = String::new();
-    loop {
+    let addr = loop {
         line.clear();
-        let n = reader.read_line(&mut line).unwrap();
-        assert!(n > 0, "shard {shard} exited before announcing its port");
+        if reader.read_line(&mut line).unwrap() == 0 {
+            break None;
+        }
         if let Some(addr) = line.trim().strip_prefix("listening ") {
-            return (child, addr.to_string());
+            break Some(addr.to_string());
+        }
+    };
+    match addr {
+        Some(addr) => (child, addr),
+        None => {
+            // Reap the exited child before failing the test.
+            let _ = child.wait();
+            panic!("shard {shard} exited before announcing its port");
         }
     }
 }
