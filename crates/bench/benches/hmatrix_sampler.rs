@@ -9,7 +9,8 @@ use hkrr_datasets::registry::SUSY;
 use hkrr_hmatrix::{build_hmatrix, HOptions};
 use hkrr_hss::{construct::compress_symmetric, HssOptions};
 use hkrr_kernel::{KernelFunction, KernelMatrix, NormalizationStats, Normalizer};
-use hkrr_linalg::Matrix;
+use hkrr_linalg::random::{gaussian_matrix, Pcg64};
+use hkrr_linalg::{LinearOperator, Matrix};
 use std::hint::black_box;
 
 fn setup(n: usize) -> (KernelMatrix, Matrix, hkrr_clustering::ClusterTree) {
@@ -54,9 +55,24 @@ fn bench_hmatrix(c: &mut Criterion) {
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
         b.iter(|| {
-            hkrr_linalg::LinearOperator::matvec(&km, &x, &mut y);
+            LinearOperator::matvec(&km, &x, &mut y);
             black_box(&y);
         });
+    });
+
+    // Block products over the first sample block of HSS construction
+    // (initial samples + oversampling = 42 columns), which is what the
+    // construction asks of its sampler: the dense kernel operator
+    // evaluates each entry once per block, the H-matrix runs one matvec
+    // per column.
+    let defaults = HssOptions::default();
+    let cols = defaults.initial_samples + defaults.oversampling;
+    let block = gaussian_matrix(&mut Pcg64::seed_from_u64(5), n, cols);
+    group.bench_function(BenchmarkId::new("matmat_dense_kernel", n), |b| {
+        b.iter(|| black_box(LinearOperator::matmat(&km, &block)));
+    });
+    group.bench_function(BenchmarkId::new("matmat_h", n), |b| {
+        b.iter(|| black_box(LinearOperator::matmat(&h, &block)));
     });
 
     // The paper's ablation: HSS construction sampled through the dense

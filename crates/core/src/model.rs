@@ -718,58 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn hss_pcg_with_f32_factors_matches_the_f64_run() {
-        let ds = generate(&LETTER, 400, 100, 9);
-        let f64_model = KrrModel::fit(
-            &ds.train,
-            &ds.train_labels,
-            &quick_config(SolverKind::HssPcg),
-        )
-        .unwrap();
-        let f32_model = KrrModel::fit(
-            &ds.train,
-            &ds.train_labels,
-            &quick_config(SolverKind::HssPcg).with_factor_precision(FactorPrecision::F32),
-        )
-        .unwrap();
-        // The stored factorization really is single precision, at well
-        // under half the f64 footprint.
-        let ulv = &f32_model.factors().unwrap().ulv;
-        assert_eq!(ulv.precision(), FactorPrecision::F32);
-        assert_eq!(f32_model.config().factor_precision, FactorPrecision::F32);
-        let f64_bytes = f64_model.report().factor_bytes;
-        let f32_bytes = f32_model.report().factor_bytes;
-        assert!(f64_bytes > 0 && f32_bytes > 0);
-        assert!(
-            f32_bytes * 2 <= f64_bytes,
-            "f32 factors {f32_bytes}B vs f64 {f64_bytes}B"
-        );
-        // Both iterations converged on the same exact operator to the same
-        // tolerance, so predictions agree to solver precision.
-        let dv64 = f64_model.decision_values(&ds.test);
-        let dv32 = f32_model.decision_values(&ds.test);
-        let rmse = dv64
-            .iter()
-            .zip(dv32.iter())
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f64>()
-            .sqrt()
-            / (dv64.len() as f64).sqrt();
-        assert!(rmse < 1e-6, "f32 vs f64 factor prediction RMSE {rmse}");
-        assert!(
-            f32_model.report().pcg_iterations
-                <= f64_model.report().pcg_iterations + f64_model.report().pcg_iterations / 2 + 2,
-            "f32 {} vs f64 {} iterations",
-            f32_model.report().pcg_iterations,
-            f64_model.report().pcg_iterations
-        );
-        // Re-solving with the retained f32 preconditioner reproduces the
-        // training weights bitwise, like the f64 path.
-        let w = f32_model.solve_new_labels(&ds.train_labels).unwrap();
-        assert_eq!(w, f32_model.weights());
-    }
-
-    #[test]
     fn hss_pcg_solve_new_labels_reruns_pcg_bitwise() {
         let ds = generate(&LETTER, 260, 30, 21);
         let model = KrrModel::fit(

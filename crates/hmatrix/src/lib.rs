@@ -228,23 +228,6 @@ impl LinearOperator for HMatrix {
         // partition is symmetric too, so A^T x = A x.
         HMatrix::matvec(self, x, y);
     }
-
-    fn matmat(&self, x: &Matrix) -> Matrix {
-        let cols: Vec<Vec<f64>> = (0..x.ncols())
-            .into_par_iter()
-            .map(|j| {
-                let xj = x.col(j);
-                let mut yj = vec![0.0; self.n];
-                HMatrix::matvec(self, &xj, &mut yj);
-                yj
-            })
-            .collect();
-        let mut y = Matrix::zeros(self.n, x.ncols());
-        for (j, col) in cols.iter().enumerate() {
-            y.set_col(j, col);
-        }
-        y
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,20 @@ use crate::kernels::KernelFunction;
 use hkrr_linalg::{LinearOperator, Matrix};
 use rayon::prelude::*;
 
+/// Kernel rows per parallel task in the operator products.
+const ROW_CHUNK: usize = 16;
+
 /// The kernel matrix `K_ij = K(x_i, x_j)` of a set of training points,
 /// exposed through entry access and parallel matvecs without storing the
 /// `n x n` matrix.
+///
+/// Each product (`matvec`, and `matmat` over a whole block) evaluates
+/// every kernel entry exactly once, one row at a time: radial kernels fill
+/// the row through the backend's bulk distance kernel and map it in
+/// place, and the row is then applied to every column of the input. Rows
+/// run in parallel in fixed chunks with one reusable row buffer per task;
+/// the per-entry arithmetic is the sequential order, so `matmat` equals a
+/// per-column `matvec` bit for bit at any thread count.
 ///
 /// Reordering the training points (Step 0 of Algorithm 1) is done by
 /// constructing the `KernelMatrix` from the permuted point set, so every
@@ -105,6 +116,45 @@ impl KernelMatrix {
         k.shift_diagonal(lambda);
         k
     }
+
+    /// Evaluates row `i` of the kernel matrix into `row` (length `n`).
+    ///
+    /// Radial kernels take the two passes of
+    /// [`assemble_dense`](Self::assemble_dense): the backend's distances
+    /// from every point to `x_i`, then the radial map in place. Both match
+    /// [`entry`](LinearOperator::entry) bitwise (the same distance kernel,
+    /// the same evaluation). Other kernels evaluate per entry.
+    fn eval_row(&self, i: usize, row: &mut [f64]) {
+        let kernel = self.kernel;
+        let xi = self.points.row(i);
+        if kernel.is_radial() {
+            crate::distance::distances_to_center_into(&self.points, xi, row);
+            for v in row.iter_mut() {
+                *v = kernel.evaluate_from_sq_dist(*v);
+            }
+        } else {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = kernel.evaluate(xi, self.points.row(j));
+            }
+        }
+    }
+
+    /// Calls `f(k_i, y_i)` for every row `i`, where `k_i` is row `i` of the
+    /// kernel matrix and `y_i` the `width` entries of `y` that belong to
+    /// it. Rows run in parallel in chunks of [`ROW_CHUNK`], each chunk
+    /// evaluating its rows into one reusable buffer.
+    fn for_each_row(&self, y: &mut [f64], width: usize, f: impl Fn(&[f64], &mut [f64]) + Sync) {
+        let n = self.len();
+        y.par_chunks_mut(ROW_CHUNK * width)
+            .enumerate()
+            .for_each(|(chunk, ys)| {
+                let mut row = vec![0.0; n];
+                for (r, yi) in ys.chunks_mut(width).enumerate() {
+                    self.eval_row(chunk * ROW_CHUNK + r, &mut row);
+                    f(&row, yi);
+                }
+            });
+    }
 }
 
 impl LinearOperator for KernelMatrix {
@@ -124,23 +174,47 @@ impl LinearOperator for KernelMatrix {
     fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.len(), "KernelMatrix::matvec: x length");
         assert_eq!(y.len(), self.len(), "KernelMatrix::matvec: y length");
-        let points = &self.points;
-        let kernel = self.kernel;
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let xi = points.row(i);
+        self.for_each_row(y, 1, |k_i, y_i| {
             let mut s = 0.0;
-            for (j, &xj) in x.iter().enumerate() {
+            for (&kij, &xj) in k_i.iter().zip(x) {
                 if xj != 0.0 {
-                    s += kernel.evaluate(xi, points.row(j)) * xj;
+                    s += kij * xj;
                 }
             }
-            *yi = s;
+            y_i[0] = s;
         });
     }
 
     fn rmatvec(&self, x: &[f64], y: &mut [f64]) {
         // The kernel matrix is symmetric.
         self.matvec(x, y);
+    }
+
+    /// `Y = K X`, applying each kernel row to all columns of `X` at once:
+    /// `y[i,c] += k_ik · x[k,c]` over ascending `k`, skipping zero `x`
+    /// entries, which is exactly [`matvec`](LinearOperator::matvec)'s
+    /// arithmetic for each column.
+    fn matmat(&self, x: &Matrix) -> Matrix {
+        assert_eq!(
+            x.nrows(),
+            self.len(),
+            "KernelMatrix::matmat: dimension mismatch"
+        );
+        let width = x.ncols();
+        let mut y = Matrix::zeros(self.len(), width);
+        if width == 0 {
+            return y;
+        }
+        self.for_each_row(y.data_mut(), width, |k_i, y_i| {
+            for (k, &kik) in k_i.iter().enumerate() {
+                for (yc, &xc) in y_i.iter_mut().zip(x.row(k)) {
+                    if xc != 0.0 {
+                        *yc += kik * xc;
+                    }
+                }
+            }
+        });
+        y
     }
 
     fn sub_block(&self, rows: &[usize], cols: &[usize]) -> Matrix {
@@ -325,6 +399,110 @@ mod tests {
         let mut y3 = vec![0.0; 40];
         km.rmatvec(&x, &mut y3);
         assert_eq!(y1, y3);
+    }
+
+    /// The per-entry reference: `Σ_j entry(i,j)·x_j` over ascending `j`,
+    /// skipping zero `x_j` like the operator does.
+    fn reference_matvec(km: &KernelMatrix, x: &[f64]) -> Vec<f64> {
+        (0..km.len())
+            .map(|i| {
+                let mut s = 0.0;
+                for (j, &xj) in x.iter().enumerate() {
+                    if xj != 0.0 {
+                        s += km.entry(i, j) * xj;
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A Gaussian block with about a quarter of its entries set to zero.
+    fn sparse_block(seed: u64, n: usize, cols: usize) -> Matrix {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        Matrix::from_fn(n, cols, |i, c| {
+            let v = rng.next_gaussian();
+            if (i * 7 + c * 3) % 4 == 0 {
+                0.0
+            } else {
+                v
+            }
+        })
+    }
+
+    /// Pins `matvec` to the per-entry reference and every column of
+    /// `matmat` to `matvec` of that column, bit for bit, at 1 thread and at
+    /// the default thread count.
+    fn check_products_bitwise(km: &KernelMatrix) {
+        let n = km.len();
+        assert_ne!(n % ROW_CHUNK, 0, "the last row chunk should be partial");
+        let xs = sparse_block(31, n, 5);
+        assert!(xs.data().contains(&0.0));
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let y_seq = one.install(|| km.matmat(&xs));
+        let y_par = km.matmat(&xs);
+        assert_eq!(y_seq.shape(), (n, 5));
+        assert_eq!(bits(y_seq.data()), bits(y_par.data()));
+        for c in 0..xs.ncols() {
+            let xc = xs.col(c);
+            let expected = bits(&reference_matvec(km, &xc));
+            let mut seq = vec![f64::NAN; n];
+            one.install(|| km.matvec(&xc, &mut seq));
+            let mut par = vec![f64::NAN; n];
+            km.matvec(&xc, &mut par);
+            assert_eq!(bits(&seq), expected, "1-thread matvec, column {c}");
+            assert_eq!(bits(&par), expected, "parallel matvec, column {c}");
+            assert_eq!(bits(&y_par.col(c)), expected, "matmat column {c}");
+        }
+    }
+
+    // n = 150 is not a multiple of the row chunk, and large enough that the
+    // products split across threads.
+
+    #[test]
+    fn gaussian_products_match_per_entry_bitwise_on_the_simd_path() {
+        // d = 9: the vectorized distance (d >= 8) plus a one-entry tail.
+        let km = KernelMatrix::new(random_points(21, 150, 9), KernelFunction::gaussian(2.0));
+        check_products_bitwise(&km);
+    }
+
+    #[test]
+    fn gaussian_products_match_per_entry_bitwise_on_the_scalar_path() {
+        let km = KernelMatrix::new(random_points(22, 150, 3), KernelFunction::gaussian(0.8));
+        check_products_bitwise(&km);
+    }
+
+    #[test]
+    fn laplacian_products_match_per_entry_bitwise() {
+        let km = KernelMatrix::new(
+            random_points(23, 150, 5),
+            KernelFunction::Laplacian { h: 1.5 },
+        );
+        check_products_bitwise(&km);
+    }
+
+    #[test]
+    fn polynomial_products_match_per_entry_bitwise() {
+        // Non-radial: the per-entry fallback of the row evaluator.
+        let km = KernelMatrix::new(
+            random_points(24, 150, 4),
+            KernelFunction::Polynomial { degree: 3, c: 1.0 },
+        );
+        check_products_bitwise(&km);
+    }
+
+    #[test]
+    fn matmat_of_an_empty_block_is_empty() {
+        let km = KernelMatrix::new(random_points(25, 20, 3), KernelFunction::gaussian(1.0));
+        let y = km.matmat(&Matrix::zeros(20, 0));
+        assert_eq!(y.shape(), (20, 0));
     }
 
     #[test]

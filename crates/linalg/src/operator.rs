@@ -55,6 +55,12 @@ pub trait LinearOperator: Sync {
     }
 
     /// Multi-vector product `Y = A X`, parallel over the columns of `X`.
+    ///
+    /// The default runs one [`matvec`](LinearOperator::matvec) per column,
+    /// so an operator that computes its entries (rather than storing them)
+    /// evaluates every entry once per column. Such operators should
+    /// override it to evaluate each entry once for the whole block, as
+    /// `hkrr_kernel::KernelMatrix` does.
     fn matmat(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.nrows(), self.ncols(), "matmat: dimension mismatch");
         let cols: Vec<Vec<f64>> = (0..x.ncols())

@@ -1735,20 +1735,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_ulv_section_is_less_than_half_the_f64_one() {
-        let (f32_model, _) = trained_f32(180);
-        let (f64_model, _) = trained(SolverKind::HssPcg, 180);
-        let f32_bytes = encode_model(&f32_model);
-        let f64_bytes = encode_model(&f64_model);
-        let (_, f32_len, _) = span(&f32_bytes, b"ULVF");
-        let (_, f64_len, _) = span(&f64_bytes, b"ULVF");
-        assert!(
-            f32_len * 2 < f64_len,
-            "f32 ULVF {f32_len}B vs f64 ULVF {f64_len}B"
-        );
-    }
-
-    #[test]
     fn f32_factors_are_refused_below_version_4() {
         let (model, _) = trained_f32(120);
         for version in [2u32, 3] {

@@ -1,24 +1,22 @@
-//! Property tests of the codec's ensemble support (format version 3) and
-//! its backward compatibility:
+//! Property tests of the codec's ensemble support (format version 3):
 //!
 //! * an ensemble round-trips **bitwise** — including every shard's HSS
 //!   form and ULV factors,
 //! * corruption *inside any shard section* (truncation, bit flip, a wrong
 //!   nested format version) surfaces as a typed [`CodecError`], never a
-//!   panic,
-//! * v1 and v2 single-model files still load,
-//! * `info_lines` emits the stable line-oriented metadata for every codec
-//!   version, and it parses.
+//!   panic.
+//!
+//! Old single-model versions and `info_lines` are pinned in
+//! `old_format_versions.rs` and `info_lines_versions.rs`, binaries of their
+//! own because they need genuine f64 `hss-pcg` models.
 
-use hkrr_core::{KrrConfig, KrrModel, SolverKind};
-use hkrr_datasets::registry::{LETTER, SUSY};
+use hkrr_core::{KrrConfig, SolverKind};
+use hkrr_datasets::registry::LETTER;
 use hkrr_ensemble::{EnsembleConfig, EnsembleKrr, ShardStrategy};
 use hkrr_serve::codec::{
-    self, crc32, decode_any, decode_model, encode_ensemble, encode_model_as_version, info_lines,
-    CodecError, LoadedModel,
+    self, crc32, decode_any, decode_model, encode_ensemble, CodecError, LoadedModel,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 24;
@@ -250,118 +248,5 @@ fn single_model_decoder_refuses_ensemble_files() {
     match decode_model(&encode_ensemble(&ens)) {
         Err(CodecError::Malformed(m)) => assert!(m.contains("ensemble"), "{m}"),
         other => panic!("expected Malformed, got {other:?}"),
-    }
-}
-
-/// v1 and v2 single-model files — produced with the real old layouts —
-/// still load, bitwise.
-#[test]
-fn old_format_versions_still_load_bitwise() {
-    let ds = hkrr_datasets::generate(&SUSY, 160, 24, 7);
-    let model = KrrModel::fit(&ds.train, &ds.train_labels, &base_config(SolverKind::Hss)).unwrap();
-    let reference = model.decision_values(&ds.test);
-    for version in [1u32, 2, 3, 4] {
-        let bytes = encode_model_as_version(&model, version)
-            .unwrap_or_else(|e| panic!("encoding v{version}: {e}"));
-        assert_eq!(codec::encoded_version(&bytes).unwrap(), version);
-        let loaded = decode_model(&bytes).unwrap_or_else(|e| panic!("decoding v{version}: {e}"));
-        assert_eq!(
-            loaded.decision_values(&ds.test),
-            reference,
-            "v{version} reload is not bitwise"
-        );
-        assert!(loaded.factors().is_some(), "v{version} lost the factors");
-    }
-    // v1 predates hss-pcg: encoding such a model at v1 is refused…
-    let pcg = KrrModel::fit(
-        &ds.train,
-        &ds.train_labels,
-        &base_config(SolverKind::HssPcg),
-    )
-    .unwrap();
-    assert!(matches!(
-        encode_model_as_version(&pcg, 1),
-        Err(CodecError::Malformed(_))
-    ));
-    // …and v2 carries it fine.
-    let v2 = encode_model_as_version(&pcg, 2).unwrap();
-    let loaded = decode_model(&v2).unwrap();
-    assert_eq!(
-        loaded.decision_values(&ds.test),
-        pcg.decision_values(&ds.test)
-    );
-    assert_eq!(loaded.report().pcg_iterations, pcg.report().pcg_iterations);
-    // Unknown versions are refused typed, on both paths.
-    assert!(matches!(
-        encode_model_as_version(&model, 99),
-        Err(CodecError::UnsupportedVersion(99))
-    ));
-}
-
-/// The `hkrr-serve info` output is stable `key: value` lines with the
-/// solver kind, the PCG configuration, and the shard layout, for every
-/// codec version.
-#[test]
-fn info_lines_are_parseable_for_every_version() {
-    let ds = hkrr_datasets::generate(&LETTER, 150, 20, 5);
-    let model = KrrModel::fit(
-        &ds.train,
-        &ds.train_labels,
-        &base_config(SolverKind::HssPcg),
-    )
-    .unwrap();
-
-    let parse = |lines: &[String]| -> HashMap<String, String> {
-        lines
-            .iter()
-            .map(|line| {
-                let (key, value) = line
-                    .split_once(": ")
-                    .unwrap_or_else(|| panic!("unparseable info line {line:?}"));
-                (key.to_string(), value.to_string())
-            })
-            .collect()
-    };
-
-    // Single models, at every readable version (v1 via an hss model —
-    // hss-pcg cannot be a v1 fixture).
-    let hss_model =
-        KrrModel::fit(&ds.train, &ds.train_labels, &base_config(SolverKind::Hss)).unwrap();
-    for version in [1u32, 2, 3, 4] {
-        let source = if version == 1 { &hss_model } else { &model };
-        let bytes = encode_model_as_version(source, version).unwrap();
-        let loaded = decode_any(&bytes).unwrap();
-        let map = parse(&info_lines(version, &loaded));
-        assert_eq!(map["schema"], "hkrr-model/1");
-        assert_eq!(map["version"], version.to_string());
-        assert_eq!(map["kind"], "single");
-        assert_eq!(map["shards"], "1");
-        assert_eq!(map["solver"], if version == 1 { "hss" } else { "hss-pcg" });
-        // The PCG config is printed for every version (v1 surfaces the
-        // defaults its era implied).
-        assert!(map.contains_key("pcg_tolerance"), "{map:?}");
-        assert_eq!(map["pcg_max_iterations"], "500");
-        assert!(map.contains_key("pcg_loosening"));
-        // Pre-v4 files surface the f64 default their era implied.
-        assert_eq!(map["factor_precision"], "f64");
-        assert_eq!(map["n_train"], "150");
-    }
-
-    // Ensembles: the shard layout appears, one line per shard.
-    let (ens, _) = trained_ensemble(3, 150, 5, SolverKind::Hss);
-    let loaded = decode_any(&encode_ensemble(&ens)).unwrap();
-    let lines = info_lines(3, &loaded);
-    let map = parse(&lines);
-    assert_eq!(map["kind"], "ensemble");
-    assert_eq!(map["shards"], "3");
-    assert_eq!(map["route_nearest"], "2");
-    assert_eq!(map["strategy"], "cluster");
-    assert_eq!(map["solver"], "hss");
-    for i in 0..3 {
-        let value = &map[&format!("shard {i}")];
-        assert!(
-            value.contains("solver=hss") && value.contains("n="),
-            "shard line {value:?}"
-        );
     }
 }
