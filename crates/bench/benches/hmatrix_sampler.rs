@@ -63,8 +63,8 @@ fn bench_hmatrix(c: &mut Criterion) {
     // Block products over the first sample block of HSS construction
     // (initial samples + oversampling = 42 columns), which is what the
     // construction asks of its sampler: the dense kernel operator
-    // evaluates each entry once per block, the H-matrix runs one matvec
-    // per column.
+    // evaluates each entry once per block, the H-matrix streams each of
+    // its blocks once per block.
     let defaults = HssOptions::default();
     let cols = defaults.initial_samples + defaults.oversampling;
     let block = gaussian_matrix(&mut Pcg64::seed_from_u64(5), n, cols);

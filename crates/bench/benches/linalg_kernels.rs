@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hkrr_linalg::random::{gaussian_matrix, Pcg64};
-use hkrr_linalg::{blas, cholesky, qr, svd};
+use hkrr_linalg::{blas, cholesky, low_rank, qr, svd};
 use std::hint::black_box;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -99,10 +99,35 @@ fn bench_factorizations(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two factorizations that dominate an `hss+h` fit of 4000 LETTER
+/// points (rank 173, 336 samples): the interpolative decomposition of a
+/// node's transposed sample block (336 x 340, rank 170) and the ULV's full
+/// QR of a node basis (346 x 173).
+fn bench_hss_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hss_shapes");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let mut rng = Pcg64::seed_from_u64(6);
+    let samples = blas::matmul(
+        &gaussian_matrix(&mut rng, 336, 170),
+        &gaussian_matrix(&mut rng, 170, 340),
+    );
+    group.bench_function("interpolative_decomposition_336x340", |b| {
+        b.iter(|| black_box(low_rank::interpolative_decomposition(&samples, 1e-8, 0)))
+    });
+    let basis = gaussian_matrix(&mut rng, 346, 173);
+    group.bench_function("full_qr_346x173", |b| {
+        b.iter(|| black_box(qr::full_qr(&basis)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
     bench_dense_backends,
-    bench_factorizations
+    bench_factorizations,
+    bench_hss_shapes
 );
 criterion_main!(benches);

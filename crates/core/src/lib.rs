@@ -35,7 +35,7 @@ pub mod report;
 pub use config::{KrrConfig, SolverKind};
 pub use handle::{DecisionModel, ModelHandle};
 pub use hkrr_hss::FactorPrecision;
-pub use model::{accuracy, KrrModel, ModelParts, TrainedFactors};
+pub use model::{accuracy, check_finite_features, KrrModel, ModelParts, TrainedFactors};
 pub use multiclass::MulticlassKrr;
 pub use report::TrainingReport;
 

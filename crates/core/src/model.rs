@@ -87,6 +87,7 @@ impl KrrModel {
                 "labels must be finite, non-zero (±1)".to_string(),
             ));
         }
+        check_finite_features(train)?;
 
         // Resolve the effective factor precision (env override included)
         // up front, and store the *effective* value in the model's config
@@ -576,6 +577,22 @@ fn run_pcg(
     Ok(result)
 }
 
+/// Rejects a training set with a NaN or infinite feature, naming the first
+/// one. Normalization, clustering (a NaN breaks the median split's sort)
+/// and the kernel all need finite coordinates, so every fit checks this
+/// before it touches the data.
+pub fn check_finite_features(train: &Matrix) -> Result<(), KrrError> {
+    match train.data().iter().position(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(at) => Err(KrrError::InvalidInput(format!(
+            "feature {} of point {} is {}; features must be finite",
+            at % train.ncols(),
+            at / train.ncols(),
+            train.data()[at]
+        ))),
+    }
+}
+
 /// Classification accuracy: the fraction of predictions whose sign matches
 /// the true label (Eq. 2.1 of the paper).
 pub fn accuracy(predicted: &[f64], truth: &[f64]) -> f64 {
@@ -889,6 +906,28 @@ mod tests {
         ));
         // Invalid hyperparameter.
         assert!(KrrModel::fit(&ds.train, &ds.train_labels, &cfg.with_h(-1.0)).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_by_every_solver() {
+        let ds = generate(&LETTER, 60, 10, 7);
+        for solver in [
+            SolverKind::DenseCholesky,
+            SolverKind::Hss,
+            SolverKind::HssWithHSampling,
+            SolverKind::HssPcg,
+        ] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut train = ds.train.clone();
+                train[(17, 3)] = bad;
+                match KrrModel::fit(&train, &ds.train_labels, &quick_config(solver)) {
+                    Err(KrrError::InvalidInput(msg)) => {
+                        assert!(msg.contains("point 17"), "{solver:?}, {bad}: {msg}")
+                    }
+                    other => panic!("{solver:?}, {bad}: expected InvalidInput, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

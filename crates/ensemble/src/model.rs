@@ -229,6 +229,8 @@ impl EnsembleKrr {
                 train.nrows()
             )));
         }
+        // Before sharding: the shard plan clusters the raw points.
+        hkrr_core::check_finite_features(train)?;
         let fit_start = Instant::now();
         let plan = ShardPlan::build(
             train,
@@ -549,6 +551,23 @@ mod tests {
         assert_eq!(r.shard_wall_seconds.len(), 4);
         // Every query routed to exactly 2 shards.
         assert_eq!(ens.shard_loads().iter().sum::<u64>(), 2 * 100);
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_before_sharding() {
+        let ds = generate(&LETTER, 120, 10, 3);
+        let cfg = ensemble_config(3, 1);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut train = ds.train.clone();
+            train[(40, 5)] = bad;
+            match EnsembleKrr::fit(&train, &ds.train_labels, &cfg) {
+                Err(KrrError::InvalidInput(msg)) => {
+                    assert!(msg.contains("point 40"), "{bad}: {msg}")
+                }
+                Err(other) => panic!("{bad}: expected InvalidInput, got {other:?}"),
+                Ok(_) => panic!("{bad}: expected InvalidInput, got a model"),
+            }
+        }
     }
 
     #[test]

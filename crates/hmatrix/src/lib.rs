@@ -19,8 +19,11 @@
 //!   Section 3.2),
 //! * [`build`](build::build_hmatrix) — the block cluster tree traversal that
 //!   assembles the format,
-//! * [`HMatrix`] — the assembled structure with parallel matvec, memory and
-//!   rank statistics, usable as a [`hkrr_linalg::LinearOperator`] sampler.
+//! * [`HMatrix`] — the assembled structure with parallel products, memory
+//!   and rank statistics, usable as a [`hkrr_linalg::LinearOperator`]
+//!   sampler. Its products go block at a time: `matvec` streams every
+//!   block once per vector, and `matmat` streams every block once for the
+//!   whole block of sample columns, not once per column.
 
 pub mod aca;
 pub mod admissibility;
@@ -90,6 +93,13 @@ pub struct HStats {
 }
 
 /// An assembled H-matrix.
+///
+/// Products go block at a time. [`HMatrix::matvec`] computes each block's
+/// partial product in parallel and adds the partials to a zeroed output in
+/// block order. `matmat` (the [`LinearOperator`] override) forms
+/// `T_b = V_b^T X_b` once per low-rank block, then runs row segments cut at
+/// every block row boundary in parallel, each adding its blocks' rows in
+/// block order; every column equals `matvec` of that column bit for bit.
 #[derive(Debug, Clone)]
 pub struct HMatrix {
     n: usize,
@@ -228,6 +238,98 @@ impl LinearOperator for HMatrix {
         // partition is symmetric too, so A^T x = A x.
         HMatrix::matvec(self, x, y);
     }
+
+    /// `Y = A X`, streaming every block once for all columns of `X`.
+    ///
+    /// Entry `(i, c)` gets [`HMatrix::matvec`]'s arithmetic for column `c`:
+    /// each block's partial (`gemv`'s ascending dot for a dense block,
+    /// `U (V^T x)` for a low-rank one) is added to a zeroed output in block
+    /// order. Besides index lists and one row of scratch per segment, the
+    /// only buffers are the `T_b = V_b^T X_b` and the output.
+    fn matmat(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.nrows(), self.n, "HMatrix::matmat: dimension mismatch");
+        let width = x.ncols();
+        let mut y = Matrix::zeros(self.n, width);
+        if width == 0 || self.n == 0 {
+            return y;
+        }
+        // T_b = V_b^T X_b, summed like gemv_t: over ascending rows of V_b.
+        let reduced: Vec<Option<Matrix>> = self
+            .blocks
+            .par_iter()
+            .map(|b| match &b.kind {
+                HBlockKind::LowRank(lr) if lr.rank() > 0 => {
+                    let mut t = Matrix::zeros(lr.rank(), width);
+                    for i in 0..lr.v.nrows() {
+                        let x_row = x.row(b.cols.start + i);
+                        for (k, &vik) in lr.v.row(i).iter().enumerate() {
+                            accumulate_row(t.row_mut(k), vik, x_row);
+                        }
+                    }
+                    Some(t)
+                }
+                _ => None,
+            })
+            .collect();
+
+        // Row segments: cut at every block row boundary, so each block
+        // covers whole segments; list each segment's blocks in block order.
+        let mut cuts: Vec<usize> = std::iter::once(0)
+            .chain(self.blocks.iter().flat_map(|b| [b.rows.start, b.rows.end]))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); cuts.len() - 1];
+        for (id, b) in self.blocks.iter().enumerate() {
+            let first = cuts.partition_point(|&c| c < b.rows.start);
+            let last = cuts.partition_point(|&c| c < b.rows.end);
+            for segment in &mut members[first..last] {
+                segment.push(id);
+            }
+        }
+        let mut segments: Vec<(usize, &mut [f64], &[usize])> = Vec::with_capacity(members.len());
+        let mut rest = y.data_mut();
+        for (bounds, ids) in cuts.windows(2).zip(&members) {
+            let (head, tail) = rest.split_at_mut((bounds[1] - bounds[0]) * width);
+            segments.push((bounds[0], head, ids));
+            rest = tail;
+        }
+
+        // Each output row gets its blocks' partial rows (gemv's ascending dot
+        // per column) added in block order, like matvec's merge.
+        segments.par_iter_mut().for_each(|(start, y_seg, ids)| {
+            let mut partial = vec![0.0; width];
+            for &id in ids.iter() {
+                let b = &self.blocks[id];
+                // Dense: D · X_b, X_b starting at row `cols.start` of X.
+                // Low-rank: U · T_b.
+                let (coeffs, rhs, rhs_row0) = match (&b.kind, &reduced[id]) {
+                    (HBlockKind::Dense(d), _) => (d, x, b.cols.start),
+                    (HBlockKind::LowRank(lr), Some(t)) => (&lr.u, t, 0),
+                    // A rank-0 block's partial is exactly zero.
+                    (HBlockKind::LowRank(_), None) => continue,
+                };
+                for (off, y_row) in y_seg.chunks_exact_mut(width).enumerate() {
+                    partial.fill(0.0);
+                    let li = *start + off - b.rows.start;
+                    for (k, &a) in coeffs.row(li).iter().enumerate() {
+                        accumulate_row(&mut partial, a, rhs.row(rhs_row0 + k));
+                    }
+                    for (yc, &pc) in y_row.iter_mut().zip(&partial) {
+                        *yc += pc;
+                    }
+                }
+            }
+        });
+        y
+    }
+}
+
+/// `acc[c] += a * x[c]`.
+fn accumulate_row(acc: &mut [f64], a: f64, x: &[f64]) {
+    for (p, &xc) in acc.iter_mut().zip(x) {
+        *p += a * xc;
+    }
 }
 
 #[cfg(test)]
@@ -328,6 +430,63 @@ mod tests {
         let y = LinearOperator::matmat(&h, &x);
         let y_ref = blas::matmul(&dense, &x);
         assert!(blas::relative_error(&y_ref, &y) < 1e-5);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn matmat_columns_equal_matvec_bitwise() {
+        // Leaves of 3 points give more than 128 row segments: enough for
+        // the parallel split, which keeps at least 64 items per worker.
+        let n = 420;
+        let points = gaussian_cloud(n, 3, 6);
+        let ordering = cluster(&points, ClusteringMethod::TwoMeans { seed: 8 }, 3);
+        let permuted = points.select_rows(ordering.permutation());
+        let km = KernelMatrix::new(permuted.clone(), KernelFunction::gaussian(1.0));
+        let built = build_hmatrix(&km, &permuted, ordering.tree(), &HOptions::default());
+        // Replace one low-rank block by a rank-0 block.
+        let mut blocks = built.blocks().to_vec();
+        let zeroed = blocks
+            .iter()
+            .position(|b| matches!(b.kind, HBlockKind::LowRank(_)))
+            .expect("a low-rank block");
+        let (rows, cols) = (blocks[zeroed].rows.len(), blocks[zeroed].cols.len());
+        blocks[zeroed].kind = HBlockKind::LowRank(LowRank::zero(rows, cols));
+        let h = HMatrix::from_blocks(n, blocks);
+        let s = h.stats();
+        assert!(s.num_dense_blocks > 0 && s.num_lowrank_blocks > 1 && s.max_block_rank > 0);
+        let mut starts: Vec<usize> = h.blocks().iter().map(|b| b.rows.start).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        assert!(starts.len() > 128, "{} row segments", starts.len());
+
+        let mut rng = Pcg64::seed_from_u64(7);
+        let mut x = hkrr_linalg::random::gaussian_matrix(&mut rng, n, 6);
+        for i in (0..n).step_by(5) {
+            x[(i, 2)] = 0.0;
+        }
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let y_seq = one.install(|| LinearOperator::matmat(&h, &x));
+        let y_par = LinearOperator::matmat(&h, &x);
+        assert_eq!(y_par.shape(), (n, 6));
+        assert_eq!(bits(y_seq.data()), bits(y_par.data()));
+        for c in 0..x.ncols() {
+            let mut yc = vec![f64::NAN; n];
+            h.matvec(&x.col(c), &mut yc);
+            assert_eq!(bits(&y_par.col(c)), bits(&yc), "column {c}");
+        }
+    }
+
+    #[test]
+    fn matmat_of_an_empty_block_is_empty() {
+        let (_, h) = build_test(120, 1e-4);
+        let y = LinearOperator::matmat(&h, &Matrix::zeros(120, 0));
+        assert_eq!(y.shape(), (120, 0));
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!
 //! The HSS rank is detected adaptively: if the interpolative decompositions
 //! saturate the available sample columns, the construction restarts with
-//! twice as many random vectors (up to a cap).
+//! twice as many random vectors (up to a cap). A pass that will restart
+//! (one below the cap) stops at the first level where a node saturates:
+//! its nodes are discarded, so the levels above it would be wasted work.
+//! The random block depends only on the sample count, so the final pass
+//! is the same whatever the earlier passes did.
 //!
 //! The bottom-up pass is **level-parallel**: all nodes of one tree level
 //! only read results their children produced on deeper levels, so each
@@ -80,7 +84,9 @@ pub struct ConstructionStats {
     /// H-matrix accelerates — the "Sampling" row of Table 4).
     pub sampling_seconds: f64,
     /// Seconds spent in everything else (IDs, entry extraction, assembly —
-    /// the "Other" row of Table 4).
+    /// the "Other" row of Table 4), over all passes. A pass that will
+    /// restart stops at its first saturated level, so it counts only the
+    /// levels up to that one.
     pub other_seconds: f64,
     /// Number of random vectors in the final (successful) pass.
     pub samples_used: usize,
@@ -151,6 +157,7 @@ pub fn compress_symmetric(
 
     let mut stats = ConstructionStats::default();
     let mut num_samples = (opts.initial_samples + opts.oversampling).min(n.max(1));
+    let cap = opts.max_samples.min(n);
 
     loop {
         let mut rng = Pcg64::seed_from_u64(opts.seed ^ (num_samples as u64).wrapping_mul(0x9e37));
@@ -161,7 +168,9 @@ pub fn compress_symmetric(
         stats.sampling_seconds += t_sample.elapsed().as_secs_f64();
 
         let t_other = Instant::now();
-        let result = build_pass(entries, &tree, &r, &s, opts, num_samples);
+        // Below the cap a saturated pass is discarded for a restart, so it
+        // may stop at its first saturated level.
+        let result = build_pass(entries, &tree, &r, &s, opts, num_samples, num_samples < cap);
         stats.other_seconds += t_other.elapsed().as_secs_f64();
 
         match result {
@@ -176,7 +185,6 @@ pub fn compress_symmetric(
                 });
             }
             PassResult::Saturated(nodes) => {
-                let cap = opts.max_samples.min(n);
                 if num_samples >= cap {
                     // Cannot add more samples; accept the (possibly
                     // rank-truncated) representation.
@@ -198,9 +206,14 @@ pub fn compress_symmetric(
 
 enum PassResult {
     Done(Vec<HssNodeData>),
+    /// Some node saturated its samples. The nodes are complete only if the
+    /// pass was asked to run to the end.
     Saturated(Vec<HssNodeData>),
 }
 
+/// One bottom-up pass over `tree` with the sample block `r` and its product
+/// `s`. With `stop_at_saturation` it returns after the first level at which
+/// a node saturates, leaving the levels above it empty.
 fn build_pass(
     entries: &dyn LinearOperator,
     tree: &ClusterTree,
@@ -208,6 +221,7 @@ fn build_pass(
     s: &Matrix,
     opts: &HssOptions,
     num_samples: usize,
+    stop_at_saturation: bool,
 ) -> PassResult {
     let num_nodes = tree.num_nodes();
     let mut nodes: Vec<HssNodeData> = (0..num_nodes).map(|_| HssNodeData::empty()).collect();
@@ -253,6 +267,9 @@ fn build_pass(
             saturated |= sat;
             nodes[id] = data;
             scratch[id] = scr;
+        }
+        if saturated && stop_at_saturation {
+            return PassResult::Saturated(nodes);
         }
         for &id in level {
             let node = tree.node(id);
@@ -460,6 +477,116 @@ mod tests {
         assert!(hss.construction_stats().restarts >= 1);
         let err = blas::relative_error(&a, &hss.to_dense());
         assert!(err < 1e-5, "reconstruction error {err}");
+    }
+
+    fn matrix_bits(m: &Option<Matrix>) -> Option<(usize, usize, Vec<u64>)> {
+        m.as_ref().map(|m| {
+            (
+                m.nrows(),
+                m.ncols(),
+                m.data().iter().map(|x| x.to_bits()).collect(),
+            )
+        })
+    }
+
+    fn assert_same_nodes(a: &HssMatrix, b: &HssMatrix) {
+        assert_eq!(a.nodes().len(), b.nodes().len());
+        for (id, (x, y)) in a.nodes().iter().zip(b.nodes()).enumerate() {
+            assert_eq!(x.rank, y.rank, "node {id} rank");
+            assert_eq!(x.skeleton, y.skeleton, "node {id} skeleton");
+            assert_eq!(matrix_bits(&x.d), matrix_bits(&y.d), "node {id} D");
+            assert_eq!(matrix_bits(&x.u), matrix_bits(&y.u), "node {id} U");
+            assert_eq!(matrix_bits(&x.b12), matrix_bits(&y.b12), "node {id} B12");
+            assert_eq!(matrix_bits(&x.b21), matrix_bits(&y.b21), "node {id} B21");
+        }
+    }
+
+    #[test]
+    fn restarted_construction_equals_a_first_pass_at_the_final_sample_count() {
+        // The passes at 6 and 12 samples saturate, stop early and restart;
+        // the pass at 24 samples is the final one. The random block depends
+        // only on the sample count, so a construction that starts at 24
+        // must produce the same nodes bit for bit.
+        let n = 128;
+        let a = kernel_1d(n, 0.02);
+        let opts = HssOptions {
+            tolerance: 1e-8,
+            initial_samples: 4,
+            oversampling: 2,
+            max_samples: 256,
+            ..Default::default()
+        };
+        let restarted = compress_symmetric(&a, &a, ordering(n, 16), &opts).unwrap();
+        let st = *restarted.construction_stats();
+        assert_eq!((st.restarts, st.samples_used), (2, 24));
+        let direct = compress_symmetric(
+            &a,
+            &a,
+            ordering(n, 16),
+            &HssOptions {
+                initial_samples: 24,
+                oversampling: 0,
+                ..opts
+            },
+        )
+        .unwrap();
+        let st_direct = direct.construction_stats();
+        assert_eq!((st_direct.restarts, st_direct.samples_used), (0, 24));
+        assert_same_nodes(&restarted, &direct);
+    }
+
+    #[test]
+    fn a_pass_that_will_restart_stops_at_its_first_saturated_level() {
+        let n = 128;
+        let a = kernel_1d(n, 0.02);
+        let tree = ordering(n, 16);
+        let opts = HssOptions {
+            tolerance: 1e-8,
+            ..Default::default()
+        };
+        let samples = 6;
+        let mut rng = Pcg64::seed_from_u64(9);
+        let r = gaussian_matrix(&mut rng, n, samples);
+        let s = a.matmat(&r);
+        let (stopped, full) = match (
+            build_pass(&a, &tree, &r, &s, &opts, samples, true),
+            build_pass(&a, &tree, &r, &s, &opts, samples, false),
+        ) {
+            (PassResult::Saturated(x), PassResult::Saturated(y)) => (x, y),
+            _ => panic!("6 samples must saturate"),
+        };
+        // The leaves saturate already: the stopped pass compressed them
+        // (identically) and nothing above them.
+        for (id, (x, y)) in stopped.iter().zip(&full).enumerate() {
+            if tree.node(id).is_leaf() {
+                assert_eq!(x.rank, y.rank, "leaf {id}");
+                assert_eq!(matrix_bits(&x.u), matrix_bits(&y.u), "leaf {id}");
+            } else {
+                assert!(x.b12.is_none() && x.u.is_none(), "internal node {id}");
+                assert!(y.b12.is_some(), "internal node {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_pass_at_the_sample_cap_runs_to_the_end() {
+        // The cap (12 samples) is reached while still saturated: that pass
+        // is kept, so it must compress every level up to the root.
+        let n = 128;
+        let a = kernel_1d(n, 0.02);
+        let opts = HssOptions {
+            tolerance: 1e-8,
+            initial_samples: 4,
+            oversampling: 2,
+            max_samples: 12,
+            ..Default::default()
+        };
+        let hss = compress_symmetric(&a, &a, ordering(n, 16), &opts).unwrap();
+        let st = hss.construction_stats();
+        assert_eq!((st.restarts, st.samples_used), (1, 12));
+        let root = hss.tree().root();
+        assert!(hss.node_data(root).b12.is_some());
+        assert!(hss.to_dense().data().iter().all(|x| x.is_finite()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::blas;
 use crate::matrix::Matrix;
-use crate::qr::column_pivoted_qr;
+use crate::qr::{column_pivoted_qr, column_pivoted_r};
 use crate::svd::svd;
 
 /// A rank-`k` factorization `A ≈ U V^T` with `U` of size `m x k` and `V`
@@ -193,17 +193,24 @@ pub fn compress_rrqr(a: &Matrix, tol: f64, max_rank: usize) -> LowRank {
 /// Returns the selected column indices and the interpolation matrix `T`
 /// (`k x n`), with `T(:, cols) = I`.  Used by the skeleton-style tests and
 /// as an alternative compression inside the H-matrix ACA verification.
+/// It reads only `R` and the permutation of the pivoted QR, so `Q` is never
+/// formed.
 pub fn interpolative_decomposition(a: &Matrix, tol: f64, max_rank: usize) -> (Vec<usize>, Matrix) {
-    let f = column_pivoted_qr(a, tol, max_rank);
-    let k = f.rank;
-    let n = a.ncols();
+    let (r, perm, k) = column_pivoted_r(a, tol, max_rank);
+    id_from_pivoted_r(&r, &perm, k)
+}
+
+/// The interpolative decomposition read off a rank-`k` column-pivoted QR
+/// `A P = Q R` (`R` is `k x n`, columns in `perm` order).
+fn id_from_pivoted_r(r: &Matrix, perm: &[usize], k: usize) -> (Vec<usize>, Matrix) {
+    let n = perm.len();
     if k == 0 {
         return (vec![], Matrix::zeros(0, n));
     }
-    let cols: Vec<usize> = f.perm[..k].to_vec();
+    let cols: Vec<usize> = perm[..k].to_vec();
     // R = [R11 R12], T_pivoted = [I, R11^{-1} R12].
-    let r11 = f.r.submatrix(0, k, 0, k);
-    let r12 = f.r.submatrix(0, k, k, n);
+    let r11 = r.submatrix(0, k, 0, k);
+    let r12 = r.submatrix(0, k, k, n);
     let lu = crate::lu::lu(&r11);
     let x = match lu.and_then(|f| f.solve_multi(&r12)) {
         Ok(x) => x,
@@ -211,11 +218,11 @@ pub fn interpolative_decomposition(a: &Matrix, tol: f64, max_rank: usize) -> (Ve
     };
     let mut t = Matrix::zeros(k, n);
     for j in 0..k {
-        t[(j, f.perm[j])] = 1.0;
+        t[(j, perm[j])] = 1.0;
     }
     for j in 0..(n - k) {
         for i in 0..k {
-            t[(i, f.perm[k + j])] = x[(i, j)];
+            t[(i, perm[k + j])] = x[(i, j)];
         }
     }
     (cols, t)
@@ -346,6 +353,27 @@ mod tests {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((t[(i, c)] - expect).abs() < 1e-10);
             }
+        }
+    }
+
+    #[test]
+    fn interpolative_decomposition_equals_the_one_from_the_q_forming_cpqr() {
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Pcg64::seed_from_u64(12);
+        let cases = [
+            (rank_deficient(11, 40, 36, 9), 1e-10, 0),
+            (rank_deficient(13, 24, 50, 30), 1e-3, 0),
+            (gaussian_matrix(&mut rng, 30, 30), 0.0, 12),
+            (gaussian_matrix(&mut rng, 18, 7), 0.0, 0),
+            (Matrix::zeros(8, 5), 1e-8, 0),
+        ];
+        for (a, tol, max_rank) in &cases {
+            let (cols, t) = interpolative_decomposition(a, *tol, *max_rank);
+            let f = column_pivoted_qr(a, *tol, *max_rank);
+            let (cols_ref, t_ref) = id_from_pivoted_r(&f.r, &f.perm, f.rank);
+            assert_eq!(cols, cols_ref);
+            assert_eq!(t.shape(), t_ref.shape());
+            assert_eq!(bits(&t), bits(&t_ref));
         }
     }
 

@@ -58,9 +58,11 @@ pub trait LinearOperator: Sync {
     ///
     /// The default runs one [`matvec`](LinearOperator::matvec) per column,
     /// so an operator that computes its entries (rather than storing them)
-    /// evaluates every entry once per column. Such operators should
-    /// override it to evaluate each entry once for the whole block, as
-    /// `hkrr_kernel::KernelMatrix` does.
+    /// evaluates every entry once per column, and one that stores them in
+    /// blocks streams every block once per column. Such operators should
+    /// override it to do that work once for the whole block of columns, as
+    /// `hkrr_kernel::KernelMatrix` (each entry evaluated once) and
+    /// `hkrr_hmatrix::HMatrix` (each block streamed once) do.
     fn matmat(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.nrows(), self.ncols(), "matmat: dimension mismatch");
         let cols: Vec<Vec<f64>> = (0..x.ncols())
