@@ -237,8 +237,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("usage: hkrr-serve info <model.hkrr>")?;
-    let (version, model) = codec::load_any(path).map_err(|e| e.to_string())?;
-    for line in codec::info_lines(version, &model) {
+    let model = codec::load_any(path).map_err(|e| e.to_string())?;
+    for line in codec::info_lines(&model) {
         println!("{line}");
     }
     Ok(())
@@ -249,7 +249,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("usage: hkrr-serve serve <model.hkrr> [--addr host:port]")?;
-    let (_, model) = codec::load_any(path).map_err(|e| e.to_string())?;
+    let model = codec::load_any(path).map_err(|e| e.to_string())?;
     eprintln!(
         "loaded {path}: kind={}, n_train={}, dim={}, models={} (no re-factorization needed)",
         if model.is_ensemble() {
@@ -449,7 +449,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let path = std::env::temp_dir().join(format!("hkrr_bench_{}.hkrr", std::process::id()));
     save_loaded(&model, &path.to_string_lossy()).map_err(|e| e.to_string())?;
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let (_, loaded) = codec::load_any(&path).map_err(|e| e.to_string())?;
+    let loaded = codec::load_any(&path).map_err(|e| e.to_string())?;
     std::fs::remove_file(&path).ok();
     println!(
         "save → load round trip ok ({file_bytes} bytes, kind: {}, models: {})",
@@ -1055,20 +1055,17 @@ fn doctor_page(addr: &str) -> Result<String, String> {
     };
     let _ = writeln!(
         page,
-        "{role} v{} up {:.0}s, {} requests, max opcode 0x{:02x}",
+        "{role} v{} up {:.0}s, {} requests",
         json_str(&stats, "version").unwrap_or_else(|| "?".into()),
         json_u64(&stats, "uptime_seconds").unwrap_or(0),
         health.requests,
-        health.max_opcode
     );
     let failovers = json_u64(&stats, "failovers").unwrap_or(0);
     let degraded = json_u64(&stats, "degraded").unwrap_or(0);
     let exhausted = json_u64(&stats, "exhausted").unwrap_or(0);
-    let downgraded = json_u64(&stats, "downgraded_dispatches").unwrap_or(0);
     let _ = writeln!(
         page,
-        "queries: {} | failovers {failovers} | degraded {degraded} | exhausted {exhausted} \
-         | downgraded dispatches {downgraded}",
+        "queries: {} | failovers {failovers} | degraded {degraded} | exhausted {exhausted}",
         json_u64(&stats, "requests").unwrap_or(0),
     );
 
@@ -1199,13 +1196,6 @@ fn doctor_page(addr: &str) -> Result<String, String> {
         let _ = writeln!(
             page,
             "  - {total_rejections} queue rejections across the fleet"
-        );
-    }
-    if downgraded > 0 {
-        findings += 1;
-        let _ = writeln!(
-            page,
-            "  - {downgraded} traced dispatches downgraded for pre-0x08 replicas"
         );
     }
     if findings == 0 {

@@ -72,25 +72,21 @@ impl Client {
         protocol::decode_response(&frame).map(<[u8]>::to_vec)
     }
 
-    /// Predicts one point.
+    /// Predicts one point, untraced.
     pub fn predict(&mut self, point: Vec<f64>) -> Result<WirePrediction, ServeError> {
-        let body = self.call(&Request::Predict(point))?;
-        protocol::decode_prediction(&body)
+        self.predict_traced(point, 0, 0)
     }
 
-    /// Predicts one point under a cross-process trace context
-    /// ([`protocol::OP_PREDICT_TRACED`]): the server's engine spans adopt
-    /// `trace_id` and record `parent_span` as their causal parent. Only
-    /// send this to peers whose [`Client::health`] reports
-    /// [`HealthReport::supports_traced_predict`]; a pre-0x08 server
-    /// answers with an unknown-opcode rejection.
+    /// Predicts one point under a cross-process trace context: the
+    /// server's engine spans adopt `trace_id` and record `parent_span` as
+    /// their causal parent. A zero `trace_id` means untraced.
     pub fn predict_traced(
         &mut self,
         point: Vec<f64>,
         trace_id: u128,
         parent_span: u64,
     ) -> Result<WirePrediction, ServeError> {
-        let body = self.call(&Request::PredictTraced {
+        let body = self.call(&Request::Predict {
             point,
             trace_id,
             parent_span,
@@ -123,11 +119,10 @@ impl Client {
         Ok(String::from_utf8_lossy(&body).into_owned())
     }
 
-    /// Health probe: role, predict-request count, and the peer's protocol
-    /// capability (see [`HealthReport`]). Unlike [`Client::ping`], this
-    /// proves the peer speaks the binary protocol and says whether it is
-    /// a model server or a router — and whether it accepts 0x08 traced
-    /// predicts.
+    /// Health probe: role and predict-request count (see
+    /// [`HealthReport`]). Unlike [`Client::ping`], this proves the peer
+    /// speaks the binary protocol and says whether it is a model server or
+    /// a router.
     pub fn health(&mut self) -> Result<HealthReport, ServeError> {
         let body = self.call(&Request::Health)?;
         protocol::decode_health(&body)

@@ -32,36 +32,26 @@
 //! | `REPT` | training report                                     | single models |
 //! | `TREE` | cluster tree                                        | HSS only      |
 //! | `HSSM` | compressed HSS matrix (per-node payloads)           | HSS only      |
-//! | `ULVF` | ULV factorization (per-node factors + root LU); v4  | HSS only      |
-//! |        | prefixes a precision tag and can carry f32 factors  |               |
-//! | `ENSH` | ensemble header (strategy, routing, centroids)      | ensembles (v3) |
-//! | `SH00`…| one complete nested model file per shard            | ensembles (v3) |
+//! | `ULVF` | ULV factorization: a precision tag (`0` = f64,      | HSS only      |
+//! |        | `1` = f32), per-node factors, and the f64 root LU   |               |
+//! | `ENSH` | ensemble header (strategy, routing, centroids)      | ensembles     |
+//! | `SH00`…| one complete nested model file per shard            | ensembles     |
 //!
-//! An **ensemble file** (format version 3) carries an `ENSH` header section
-//! plus one `SHnn` section per shard, each holding a complete nested
-//! `hkrr-model/1` single-model encoding — so every shard gets the full
+//! An **ensemble file** carries an `ENSH` header section plus one `SHnn`
+//! section per shard, each holding a complete nested `hkrr-model/1`
+//! single-model encoding — so every shard gets the full
 //! magic/version/CRC treatment, and corruption *inside any shard section*
 //! (truncation, bit flip, wrong nested version) surfaces as the same typed
 //! [`CodecError`]s a standalone file would produce.
 //!
+//! A model trained with f32 factors persists them as f32 (only the small
+//! root LU stays f64, mirroring the in-memory store), so its `ULVF`
+//! section is less than half the f64 size.
+//!
 //! ## Versions
 //!
-//! This build writes version 4 and reads 1–4:
-//! * **v1** — the original single-model layout.
-//! * **v2** — added the `hss-pcg` solver tag, the PCG split in `REPT`, and
-//!   the PCG parameters in `CONF`.
-//! * **v3** — added ensemble files (`ENSH` + `SHnn`); single-model layout
-//!   unchanged from v2.
-//! * **v4** — mixed-precision factor store: `CONF` gains the
-//!   `factor_precision` knob, `REPT` gains `factor_bytes`, and `ULVF`
-//!   starts with a precision tag (`0` = f64, `1` = f32) so a demoted
-//!   factorization persists as f32 sections (only the small root LU stays
-//!   f64, mirroring the in-memory store) — a model trained with f32
-//!   factors round-trips at less than half the `ULVF` size. Pre-v4 files
-//!   decode as f64 with the defaults their era implied; a model holding
-//!   f32 factors is refused at versions below 4.
-//!
-//! Versions above 4 are refused with a typed
+//! This build reads and writes format version 4 ([`VERSION`]) only. Any
+//! other version in the header is refused with a typed
 //! [`CodecError::UnsupportedVersion`].
 
 use hkrr_clustering::{ClusterNode, ClusterTree};
@@ -77,11 +67,9 @@ use std::path::Path;
 
 /// File magic: "HKRR model, format generation 1".
 pub const MAGIC: [u8; 8] = *b"HKRRMDL1";
-/// Current format version inside generation 1 (see the module docs for
-/// the version history).
+/// The one format version inside generation 1 that this build reads and
+/// writes.
 pub const VERSION: u32 = 4;
-/// Oldest format version this build still reads.
-pub const MIN_VERSION: u32 = 1;
 /// Human-readable schema name (mirrors the JSON snapshots' convention).
 pub const SCHEMA: &str = "hkrr-model/1";
 
@@ -122,7 +110,7 @@ impl std::fmt::Display for CodecError {
             CodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported format version {v} (this build reads {MIN_VERSION}..={VERSION})"
+                    "unsupported format version {v} (this build reads only version {VERSION})"
                 )
             }
             CodecError::Truncated => write!(f, "unexpected end of input"),
@@ -482,7 +470,7 @@ fn dec_kernel(d: &mut Dec) -> Result<KernelFunction> {
 // ---------------------------------------------------------------------------
 // Section encoders.
 
-fn enc_conf(config: &KrrConfig, kernel: KernelFunction, version: u32) -> Vec<u8> {
+fn enc_conf(config: &KrrConfig, kernel: KernelFunction) -> Vec<u8> {
     let mut e = Enc::default();
     e.f64(config.h);
     e.f64(config.lambda);
@@ -493,21 +481,16 @@ fn enc_conf(config: &KrrConfig, kernel: KernelFunction, version: u32) -> Vec<u8>
     e.f64(config.tolerance);
     e.f64(config.eta);
     e.u64(config.seed);
-    if version >= 2 {
-        e.f64(config.pcg_tolerance);
-        e.usize(config.pcg_max_iterations);
-        e.f64(config.pcg_loosening);
-    }
-    if version >= 4 {
-        enc_precision(&mut e, config.factor_precision);
-    }
+    e.f64(config.pcg_tolerance);
+    e.usize(config.pcg_max_iterations);
+    e.f64(config.pcg_loosening);
+    enc_precision(&mut e, config.factor_precision);
     enc_kernel(&mut e, kernel);
     e.buf
 }
 
-fn dec_conf(bytes: &[u8], version: u32) -> Result<(KrrConfig, KernelFunction)> {
+fn dec_conf(bytes: &[u8]) -> Result<(KrrConfig, KernelFunction)> {
     let mut d = Dec::new(bytes);
-    let defaults = KrrConfig::default();
     let h = d.f64()?;
     let lambda = d.f64()?;
     let clustering = dec_clustering(&mut d)?;
@@ -517,22 +500,10 @@ fn dec_conf(bytes: &[u8], version: u32) -> Result<(KrrConfig, KernelFunction)> {
     let tolerance = d.f64()?;
     let eta = d.f64()?;
     let seed = d.u64()?;
-    // v1 predates the PCG knobs; old files take the current defaults.
-    let (pcg_tolerance, pcg_max_iterations, pcg_loosening) = if version >= 2 {
-        (d.f64()?, d.usize()?, d.f64()?)
-    } else {
-        (
-            defaults.pcg_tolerance,
-            defaults.pcg_max_iterations,
-            defaults.pcg_loosening,
-        )
-    };
-    // Pre-v4 files predate the mixed-precision store: always f64.
-    let factor_precision = if version >= 4 {
-        dec_precision(&mut d)?
-    } else {
-        FactorPrecision::F64
-    };
+    let pcg_tolerance = d.f64()?;
+    let pcg_max_iterations = d.usize()?;
+    let pcg_loosening = d.f64()?;
+    let factor_precision = dec_precision(&mut d)?;
     let config = KrrConfig {
         h,
         lambda,
@@ -574,59 +545,47 @@ fn dec_norm(bytes: &[u8]) -> Result<NormalizationStats> {
     NormalizationStats::from_parts(scheme, offset, scale).map_err(CodecError::Malformed)
 }
 
-fn enc_report(r: &TrainingReport, version: u32) -> Vec<u8> {
+fn enc_report(r: &TrainingReport) -> Vec<u8> {
     let mut e = Enc::default();
     enc_solver(&mut e, r.solver);
     e.usize(r.num_train);
     e.usize(r.dim);
     e.f64(r.clustering_seconds);
-    if version >= 2 {
-        e.f64(r.assembly_seconds);
-    }
+    e.f64(r.assembly_seconds);
     e.f64(r.h_construction_seconds);
     e.f64(r.hss_sampling_seconds);
     e.f64(r.hss_other_seconds);
     e.f64(r.factorization_seconds);
     e.f64(r.solve_seconds);
-    if version >= 2 {
-        e.f64(r.pcg_seconds);
-        e.usize(r.pcg_iterations);
-        e.f64_slice(&r.pcg_residual_history);
-    }
+    e.f64(r.pcg_seconds);
+    e.usize(r.pcg_iterations);
+    e.f64_slice(&r.pcg_residual_history);
     e.usize(r.matrix_memory_bytes);
     e.usize(r.sampler_memory_bytes);
-    if version >= 4 {
-        e.usize(r.factor_bytes);
-    }
+    e.usize(r.factor_bytes);
     e.usize(r.max_rank);
     e.buf
 }
 
-fn dec_report(bytes: &[u8], version: u32) -> Result<TrainingReport> {
+fn dec_report(bytes: &[u8]) -> Result<TrainingReport> {
     let mut d = Dec::new(bytes);
     let solver = dec_solver(&mut d)?;
     let num_train = d.usize()?;
     let dim = d.usize()?;
     let mut r = TrainingReport::new(solver, num_train, dim);
     r.clustering_seconds = d.f64()?;
-    if version >= 2 {
-        r.assembly_seconds = d.f64()?;
-    }
+    r.assembly_seconds = d.f64()?;
     r.h_construction_seconds = d.f64()?;
     r.hss_sampling_seconds = d.f64()?;
     r.hss_other_seconds = d.f64()?;
     r.factorization_seconds = d.f64()?;
     r.solve_seconds = d.f64()?;
-    if version >= 2 {
-        r.pcg_seconds = d.f64()?;
-        r.pcg_iterations = d.usize()?;
-        r.pcg_residual_history = d.f64_vec()?;
-    }
+    r.pcg_seconds = d.f64()?;
+    r.pcg_iterations = d.usize()?;
+    r.pcg_residual_history = d.f64_vec()?;
     r.matrix_memory_bytes = d.usize()?;
     r.sampler_memory_bytes = d.usize()?;
-    if version >= 4 {
-        r.factor_bytes = d.usize()?;
-    }
+    r.factor_bytes = d.usize()?;
     r.max_rank = d.usize()?;
     d.finish()?;
     Ok(r)
@@ -742,21 +701,11 @@ fn dec_lu_f32(d: &mut Dec) -> Result<LuF32> {
     LuF32::from_parts(packed, pivots, sign).map_err(|e| CodecError::Malformed(e.to_string()))
 }
 
-/// Encodes the `ULVF` section. At version ≥ 4 the payload starts with a
-/// precision tag and may carry an f32 factor store; older versions write
-/// the bare f64 layout (and [`encode_model_as_version`] refuses f32-factor
-/// models before this function can see them).
-fn enc_ulv(ulv: &UlvFactorization, version: u32) -> Vec<u8> {
+/// Encodes the `ULVF` section: a precision tag, then the f64 or f32
+/// factor store.
+fn enc_ulv(ulv: &UlvFactorization) -> Vec<u8> {
     let mut e = Enc::default();
-    if version >= 4 {
-        enc_precision(&mut e, ulv.precision());
-    } else {
-        debug_assert_eq!(
-            ulv.precision(),
-            FactorPrecision::F64,
-            "f32 stores are refused for pre-v4 encodings"
-        );
-    }
+    enc_precision(&mut e, ulv.precision());
     match ulv.precision() {
         FactorPrecision::F64 => {
             e.usize(ulv.node_factors().len());
@@ -891,15 +840,9 @@ fn dec_ulv_f32_body(d: &mut Dec, tree: &ClusterTree) -> Result<UlvFactorization>
         .map_err(|e| CodecError::Malformed(e.to_string()))
 }
 
-fn dec_ulv(bytes: &[u8], tree: &ClusterTree, version: u32) -> Result<UlvFactorization> {
+fn dec_ulv(bytes: &[u8], tree: &ClusterTree) -> Result<UlvFactorization> {
     let mut d = Dec::new(bytes);
-    // Pre-v4 payloads have no precision tag: the body is the f64 layout.
-    let precision = if version >= 4 {
-        dec_precision(&mut d)?
-    } else {
-        FactorPrecision::F64
-    };
-    match precision {
+    match dec_precision(&mut d)? {
         FactorPrecision::F64 => dec_ulv_f64_body(&mut d, tree),
         FactorPrecision::F32 => dec_ulv_f32_body(&mut d, tree),
     }
@@ -979,12 +922,11 @@ fn dec_ensh(bytes: &[u8]) -> Result<EnsembleHeader> {
 // ---------------------------------------------------------------------------
 // Whole-file encode / decode.
 
-/// Assembles a complete file (header, section table, payloads) for the
-/// given format version.
-fn write_file(version: u32, sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+/// Assembles a complete file (header, section table, payloads).
+fn write_file(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = HEADER_LEN + TABLE_ENTRY_LEN * sections.len();
     for (tag, body) in sections {
@@ -1000,36 +942,8 @@ fn write_file(version: u32, sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Serializes a single model to its current-version byte representation.
+/// Serializes a single model to its byte representation.
 pub fn encode_model(model: &KrrModel) -> Vec<u8> {
-    encode_model_as_version(model, VERSION).expect("current-version encoding cannot fail")
-}
-
-/// Serializes a single model in an *older* (or the current) format version
-/// — the fixture writer behind the backward-compatibility tests, so
-/// "v1/v2 files still load" is pinned against real old-layout bytes
-/// rather than hand-patched ones. Version 1 predates the `hss-pcg`
-/// solver, so encoding such a model at version 1 is refused.
-pub fn encode_model_as_version(model: &KrrModel, version: u32) -> Result<Vec<u8>> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    if version < 2 && model.config().solver == SolverKind::HssPcg {
-        return Err(CodecError::Malformed(
-            "format version 1 cannot represent the hss-pcg solver".to_string(),
-        ));
-    }
-    if version < 4 {
-        let holds_f32 = model
-            .factors()
-            .is_some_and(|f| f.ulv.precision() == FactorPrecision::F32)
-            || model.config().factor_precision == FactorPrecision::F32;
-        if holds_f32 {
-            return Err(CodecError::Malformed(format!(
-                "format version {version} cannot represent f32 ULV factors (needs version 4)"
-            )));
-        }
-    }
     let mut e = Enc::default();
     e.matrix(model.train_points());
     let trpt = std::mem::take(&mut e.buf);
@@ -1039,19 +953,19 @@ pub fn encode_model_as_version(model: &KrrModel, version: u32) -> Result<Vec<u8>
     let perm = std::mem::take(&mut e.buf);
 
     let mut sections: Vec<([u8; 4], Vec<u8>)> = vec![
-        (*b"CONF", enc_conf(model.config(), model.kernel(), version)),
+        (*b"CONF", enc_conf(model.config(), model.kernel())),
         (*b"NORM", enc_norm(model.norm_stats())),
         (*b"TRPT", trpt),
         (*b"WGHT", wght),
         (*b"PERM", perm),
-        (*b"REPT", enc_report(model.report(), version)),
+        (*b"REPT", enc_report(model.report())),
     ];
     if let Some(f) = model.factors() {
         sections.push((*b"TREE", enc_tree(f.hss.tree())));
         sections.push((*b"HSSM", enc_hss(&f.hss)));
-        sections.push((*b"ULVF", enc_ulv(&f.ulv, version)));
+        sections.push((*b"ULVF", enc_ulv(&f.ulv)));
     }
-    Ok(write_file(version, &sections))
+    write_file(&sections)
 }
 
 /// Serializes a sharded ensemble: an `ENSH` header section plus one
@@ -1070,15 +984,15 @@ pub fn encode_ensemble(ensemble: &EnsembleKrr) -> Vec<u8> {
     for (i, model) in ensemble.models().iter().enumerate() {
         sections.push((shard_tag(i), encode_model(model)));
     }
-    write_file(VERSION, &sections)
+    write_file(&sections)
 }
 
 /// A parsed section table: `(tag, payload)` pairs.
 type SectionList<'a> = Vec<([u8; 4], &'a [u8])>;
 
-/// Parses the header + section table and returns the file's version plus
-/// `(tag, payload)` pairs, with every payload's checksum verified.
-fn sections(bytes: &[u8]) -> Result<(u32, SectionList<'_>)> {
+/// Parses the header + section table and returns the `(tag, payload)`
+/// pairs, with every payload's checksum verified.
+fn sections(bytes: &[u8]) -> Result<SectionList<'_>> {
     if bytes.len() < HEADER_LEN {
         // Too short even for the magic/header: distinguish "not our file"
         // from "our file, cut off".
@@ -1091,7 +1005,7 @@ fn sections(bytes: &[u8]) -> Result<(u32, SectionList<'_>)> {
         return Err(CodecError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
@@ -1123,7 +1037,7 @@ fn sections(bytes: &[u8]) -> Result<(u32, SectionList<'_>)> {
         }
         out.push((tag, payload));
     }
-    Ok((version, out))
+    Ok(out)
 }
 
 fn find<'a>(sections: &[([u8; 4], &'a [u8])], tag: &[u8; 4]) -> Option<&'a [u8]> {
@@ -1142,8 +1056,8 @@ fn require<'a>(
 }
 
 /// Decodes a single model from an already-parsed section list.
-fn decode_single(version: u32, sections: &[([u8; 4], &[u8])]) -> Result<KrrModel> {
-    let (config, kernel) = dec_conf(require(sections, b"CONF", "CONF")?, version)?;
+fn decode_single(sections: &[([u8; 4], &[u8])]) -> Result<KrrModel> {
+    let (config, kernel) = dec_conf(require(sections, b"CONF", "CONF")?)?;
     let norm_stats = dec_norm(require(sections, b"NORM", "NORM")?)?;
 
     let mut d = Dec::new(require(sections, b"TRPT", "TRPT")?);
@@ -1155,7 +1069,7 @@ fn decode_single(version: u32, sections: &[([u8; 4], &[u8])]) -> Result<KrrModel
     let mut d = Dec::new(require(sections, b"PERM", "PERM")?);
     let permutation = d.usize_vec()?;
     d.finish()?;
-    let report = dec_report(require(sections, b"REPT", "REPT")?, version)?;
+    let report = dec_report(require(sections, b"REPT", "REPT")?)?;
 
     let factors = match (
         find(sections, b"TREE"),
@@ -1166,7 +1080,7 @@ fn decode_single(version: u32, sections: &[([u8; 4], &[u8])]) -> Result<KrrModel
         (Some(tree_bytes), Some(hss_bytes), Some(ulv_bytes)) => {
             let tree = dec_tree(tree_bytes)?;
             let hss = dec_hss(hss_bytes, &tree)?;
-            let ulv = dec_ulv(ulv_bytes, &tree, version)?;
+            let ulv = dec_ulv(ulv_bytes, &tree)?;
             Some(TrainedFactors { hss, ulv })
         }
         _ => {
@@ -1260,25 +1174,11 @@ impl LoadedModel {
     }
 }
 
-/// The format version of an encoded file (header peek; the payload is not
-/// validated beyond the magic). A file that carries the magic but ends
-/// before the version word is [`CodecError::Truncated`], not `BadMagic` —
-/// the same distinction the full decoder draws.
-pub fn encoded_version(bytes: &[u8]) -> Result<u32> {
-    if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if bytes.len() < 12 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(u32::from_le_bytes(bytes[8..12].try_into().unwrap()))
-}
-
 /// Deserializes a file that may hold a single model or an ensemble.
 pub fn decode_any(bytes: &[u8]) -> Result<LoadedModel> {
-    let (version, sections) = sections(bytes)?;
+    let sections = sections(bytes)?;
     let Some(ensh) = find(&sections, b"ENSH") else {
-        return decode_single(version, &sections).map(LoadedModel::Single);
+        return decode_single(&sections).map(LoadedModel::Single);
     };
     let header = dec_ensh(ensh)?;
     if header.centroids.nrows() != header.shards {
@@ -1312,7 +1212,7 @@ pub fn decode_any(bytes: &[u8]) -> Result<LoadedModel> {
     .map_err(|e| CodecError::Malformed(e.to_string()))
 }
 
-/// The ensemble-level layout of a v3 ensemble file — everything a
+/// The ensemble-level layout of an ensemble file — everything a
 /// distributed router needs (centroids, shard count, routing width)
 /// *without* decoding a single shard model. This is what lets the router
 /// tier hold "only centroids + client connections": it reads a few
@@ -1334,7 +1234,7 @@ pub struct EnsembleLayout {
 /// Extracts the ensemble layout from encoded bytes. Returns a `Malformed`
 /// error when the file holds a single model (no `ENSH` section).
 pub fn decode_layout(bytes: &[u8]) -> Result<EnsembleLayout> {
-    let (_, sections) = sections(bytes)?;
+    let sections = sections(bytes)?;
     let ensh = find(&sections, b"ENSH").ok_or(CodecError::Malformed(
         "file holds a single model, not an ensemble (no ENSH section)".to_string(),
     ))?;
@@ -1364,7 +1264,7 @@ pub fn load_layout(path: impl AsRef<Path>) -> Result<EnsembleLayout> {
 /// single-model file, so a shard server pays only for its own shard's
 /// checksums and matrices.
 pub fn decode_shard(bytes: &[u8], index: usize) -> Result<KrrModel> {
-    let (_, sections) = sections(bytes)?;
+    let sections = sections(bytes)?;
     let ensh = find(&sections, b"ENSH").ok_or(CodecError::Malformed(
         "file holds a single model, not an ensemble (no ENSH section)".to_string(),
     ))?;
@@ -1392,13 +1292,13 @@ pub fn load_shard(path: impl AsRef<Path>, index: usize) -> Result<KrrModel> {
 /// deliberately non-recursive (it never descends into shard sections), so
 /// the shard decodes inside [`decode_any`] cannot nest further.
 pub fn decode_model(bytes: &[u8]) -> Result<KrrModel> {
-    let (version, sections) = sections(bytes)?;
+    let sections = sections(bytes)?;
     if find(&sections, b"ENSH").is_some() {
         return Err(CodecError::Malformed(
             "file holds a sharded ensemble; load it with decode_any/load_any".to_string(),
         ));
     }
-    decode_single(version, &sections)
+    decode_single(&sections)
 }
 
 /// Saves a trained model to `path` in the `hkrr-model/1` format.
@@ -1407,7 +1307,7 @@ pub fn save_model(model: &KrrModel, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Saves a sharded ensemble to `path` (format version 3).
+/// Saves a sharded ensemble to `path`.
 pub fn save_ensemble(ensemble: &EnsembleKrr, path: impl AsRef<Path>) -> Result<()> {
     std::fs::write(path, encode_ensemble(ensemble))?;
     Ok(())
@@ -1420,12 +1320,9 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<KrrModel> {
     decode_model(&std::fs::read(path)?)
 }
 
-/// Loads whatever a file holds — a single model or an ensemble — together
-/// with the file's format version.
-pub fn load_any(path: impl AsRef<Path>) -> Result<(u32, LoadedModel)> {
-    let bytes = std::fs::read(path)?;
-    let version = encoded_version(&bytes)?;
-    Ok((version, decode_any(&bytes)?))
+/// Loads whatever a file holds — a single model or an ensemble.
+pub fn load_any(path: impl AsRef<Path>) -> Result<LoadedModel> {
+    decode_any(&std::fs::read(path)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1434,13 +1331,11 @@ pub fn load_any(path: impl AsRef<Path>) -> Result<(u32, LoadedModel)> {
 /// The stable, line-oriented `hkrr-serve info` output: one `key: value`
 /// pair per line (shard lines use the key `shard <i>`), covering the
 /// format/version, the solver kind, the PCG configuration, and — for
-/// ensembles — the shard layout. Every codec version produces the same
-/// keys (older files surface the defaults their era implied), so scripts
-/// can parse the output without sniffing versions.
-pub fn info_lines(version: u32, model: &LoadedModel) -> Vec<String> {
+/// ensembles — the shard layout.
+pub fn info_lines(model: &LoadedModel) -> Vec<String> {
     let mut lines = vec![
         format!("schema: {SCHEMA}"),
-        format!("version: {version}"),
+        format!("version: {VERSION}"),
         format!(
             "kind: {}",
             if model.is_ensemble() {
@@ -1461,8 +1356,6 @@ pub fn info_lines(version: u32, model: &LoadedModel) -> Vec<String> {
         lines.push(format!("pcg_tolerance: {:e}", config.pcg_tolerance));
         lines.push(format!("pcg_max_iterations: {}", config.pcg_max_iterations));
         lines.push(format!("pcg_loosening: {:e}", config.pcg_loosening));
-        // Pre-v4 files surface the f64 their era implied (dec_conf fills
-        // the default), so the key is stable across versions.
         lines.push(format!("factor_precision: {}", config.factor_precision));
     };
     match model {
@@ -1616,14 +1509,23 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_is_rejected() {
+    fn every_other_version_is_refused_on_both_decoders() {
         let (model, _) = trained(SolverKind::Hss, 96);
         let mut bytes = encode_model(&model);
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode_model(&bytes),
-            Err(CodecError::UnsupportedVersion(99))
-        ));
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        // Older layouts (1–3), a zeroed header and future versions all
+        // stop at the header, whatever the sections hold.
+        for v in [0u32, 1, 2, 3, 5, 99, u32::MAX] {
+            bytes[8..12].copy_from_slice(&v.to_le_bytes());
+            assert!(
+                matches!(decode_model(&bytes), Err(CodecError::UnsupportedVersion(got)) if got == v),
+                "decode_model accepted version {v}"
+            );
+            assert!(
+                matches!(decode_any(&bytes), Err(CodecError::UnsupportedVersion(got)) if got == v),
+                "decode_any accepted version {v}"
+            );
+        }
     }
 
     #[test]
@@ -1732,19 +1634,6 @@ mod tests {
             loaded.solve_new_labels(&ds.train_labels).unwrap(),
             model.weights()
         );
-    }
-
-    #[test]
-    fn f32_factors_are_refused_below_version_4() {
-        let (model, _) = trained_f32(120);
-        for version in [2u32, 3] {
-            match encode_model_as_version(&model, version) {
-                Err(CodecError::Malformed(m)) => assert!(m.contains("f32"), "{m}"),
-                other => panic!("v{version} must refuse f32 factors, got {other:?}"),
-            }
-        }
-        // The current version carries them fine.
-        assert!(encode_model_as_version(&model, VERSION).is_ok());
     }
 
     #[test]

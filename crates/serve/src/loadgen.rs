@@ -33,12 +33,10 @@ pub struct LoadgenConfig {
     pub concurrency: usize,
     /// RNG seed for the query points.
     pub seed: u64,
-    /// Send `OP_PREDICT_TRACED` frames (a fresh trace id per query) when
-    /// the server's health reply advertises 0x08 support; the report then
-    /// carries `traced_requests` and the slowest trace ids, so a tail
-    /// latency in `BENCH_serve*.json` can be chased into the merged
-    /// cross-process trace. Auto-downgrades to plain `predict` against a
-    /// pre-0x08 server.
+    /// Send a fresh trace id with every query; the report then carries
+    /// `traced_requests` and the slowest trace ids, so a tail latency in
+    /// `BENCH_serve*.json` can be chased into the merged cross-process
+    /// trace.
     pub traced: bool,
 }
 
@@ -211,8 +209,8 @@ pub struct LoadgenReport {
     /// `metrics` scrapes (absent only when the target could not be
     /// scraped).
     pub registry: Option<RegistryDelta>,
-    /// Queries sent as `OP_PREDICT_TRACED` frames (0 when the server is
-    /// pre-0x08 or [`LoadgenConfig::traced`] was off).
+    /// Queries sent with a trace id (0 when [`LoadgenConfig::traced`] was
+    /// off).
     pub traced_requests: usize,
     /// The slowest traced queries of the run as `(latency_micros,
     /// trace_id)`, slowest first — the ids to look up in the merged trace
@@ -267,14 +265,6 @@ fn run_inner(
     let info = probe.info()?;
     let dim = info.dim as usize;
     let n_train = info.n_train;
-    // Traced sends only against a peer that advertises 0x08 — a legacy
-    // server would reject the opcode, turning a capability mismatch into
-    // phantom errors.
-    let use_traced = config.traced
-        && probe
-            .health()
-            .map(|h| h.supports_traced_predict())
-            .unwrap_or(false);
     // Server-side view of the run: scrape the registry before and after so
     // the report can carry counter/histogram deltas next to the
     // client-observed numbers. Best-effort — a peer that cannot answer
@@ -353,18 +343,14 @@ fn run_inner(
                     for _ in 0..quota {
                         let point: Vec<f64> = (0..dim).map(|_| rng.next_gaussian()).collect();
                         let post = disrupted.load(Ordering::Acquire);
-                        let trace_id = if use_traced {
+                        let trace_id = if config.traced {
+                            out.traced_requests += 1;
                             hkrr_telemetry::trace::mint_trace_id()
                         } else {
                             0
                         };
                         let sent = Instant::now();
-                        let result = if trace_id != 0 {
-                            out.traced_requests += 1;
-                            client.predict_traced(point, trace_id, 0)
-                        } else {
-                            client.predict(point)
-                        };
+                        let result = client.predict_traced(point, trace_id, 0);
                         let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
                         if post {
                             out.post_requests += 1;

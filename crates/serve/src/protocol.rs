@@ -14,40 +14,35 @@
 //!
 //! ## Binary opcodes
 //!
-//! | op   | request body           | OK response body                             |
-//! |------|------------------------|----------------------------------------------|
-//! | 0x01 | `d × f64` point        | `score f64, label f64, batch u32, µs u64`    |
-//! | 0x02 | —                      | engine stats as a JSON string                |
-//! | 0x03 | — (ping)               | —                                            |
-//! | 0x04 | — (info)               | `dim u32, n_train u64, uptime µs u64, version, stamp` |
-//! | 0x05 | — (health)             | `role u8, requests u64[, max_opcode u8]`     |
-//! | 0x06 | — (refresh)            | `num_models u32, n_train u64`                |
-//! | 0x07 | — (metrics)            | Prometheus text exposition (UTF-8)           |
-//! | 0x08 | `trace u128, parent u64, d × f64` | same as 0x01                      |
+//! | op   | request body                      | OK response body                             |
+//! |------|-----------------------------------|----------------------------------------------|
+//! | 0x01 | `trace u128, parent u64, d × f64` | `score f64, label f64, batch u32, µs u64`    |
+//! | 0x02 | —                                 | engine stats as a JSON string                |
+//! | 0x03 | — (ping)                          | —                                            |
+//! | 0x04 | — (info)                          | `dim u32, n_train u64, uptime µs u64, version, stamp` |
+//! | 0x05 | — (health)                        | `role u8, requests u64`                      |
+//! | 0x06 | — (refresh)                       | `num_models u32, n_train u64`                |
+//! | 0x07 | — (metrics)                       | Prometheus text exposition (UTF-8)           |
+//!
+//! Every `predict` (0x01) carries a cross-process trace context before the
+//! point — `trace_id: u128` then `parent_span: u64`, both little-endian —
+//! so the server's engine spans join the caller's trace. A zero trace id
+//! means untraced. Line mode's `predict` is always untraced: trace ids are
+//! not meaningful on a hand-typed `nc` session.
 //!
 //! `health` (0x05) is the router tier's liveness + readiness probe: unlike
 //! `ping`, it proves the peer speaks the binary protocol *and* reports
 //! which role it plays (`0` = model server, `1` = router) plus how many
-//! predict requests it has answered. Post-0x08 servers append a
-//! `max_opcode` capability byte (the highest request opcode they accept);
-//! decoders tolerate the legacy 9-byte body and report
-//! [`OP_METRICS`] for it, which is how the router detects a pre-0x08 peer
-//! and downgrades traced dispatches to plain [`OP_PREDICT`]. `refresh`
-//! (0x06) asks a model server to re-load its model from the source it was
-//! started from and hot-swap it behind the live engine; servers without a
-//! reloadable source answer with a status-1 error. `metrics` (0x07)
-//! renders the process-global telemetry registry in Prometheus text
-//! exposition format, so shard servers and routers are scrapeable in
-//! place. `predict-traced` (0x08) is `predict` plus a leading
-//! cross-process trace context — `trace_id: u128` then
-//! `parent_span: u64`, both little-endian, before the point — so the
-//! server's engine spans join the caller's trace; it is **binary-only**
-//! (line mode rejects it cleanly: trace ids are not meaningful on a
-//! hand-typed `nc` session).
+//! predict requests it has answered. `refresh` (0x06) asks a model server
+//! to re-load its model from the source it was started from and hot-swap
+//! it behind the live engine; servers without a reloadable source answer
+//! with a status-1 error. `metrics` (0x07) renders the process-global
+//! telemetry registry in Prometheus text exposition format, so shard
+//! servers and routers are scrapeable in place.
 //!
 //! The info body carries the server's uptime and build identity after the
 //! fixed `dim`/`n_train` fields (version and stamp as `len: u8` + UTF-8
-//! bytes); decoders accept the legacy 12-byte body from pre-0x07 servers.
+//! bytes).
 //!
 //! Responses carry a status byte before the body: `0` OK, `1` error (body
 //! is a UTF-8 message).
@@ -60,7 +55,7 @@ pub const BINARY_HELLO: [u8; 4] = *b"HKRB";
 /// Largest accepted frame (1 MiB): bounds per-connection memory.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// Request opcode: predict one point.
+/// Request opcode: predict one point under a trace context.
 pub const OP_PREDICT: u8 = 0x01;
 /// Request opcode: engine statistics.
 pub const OP_STATS: u8 = 0x02;
@@ -74,16 +69,9 @@ pub const OP_HEALTH: u8 = 0x05;
 pub const OP_REFRESH: u8 = 0x06;
 /// Request opcode: Prometheus text exposition of the telemetry registry.
 pub const OP_METRICS: u8 = 0x07;
-/// Request opcode: predict one point carrying a cross-process trace
-/// context (`trace_id: u128` + `parent_span: u64` before the features).
-pub const OP_PREDICT_TRACED: u8 = 0x08;
 
-/// The highest request opcode this build understands; advertised in the
-/// health response's `max_opcode` capability byte.
-pub const MAX_OPCODE: u8 = OP_PREDICT_TRACED;
-
-/// Byte length of the trace-context prefix in an [`OP_PREDICT_TRACED`]
-/// body: `trace_id: u128` (16) + `parent_span: u64` (8).
+/// Byte length of the trace-context prefix in an [`OP_PREDICT`] body:
+/// `trace_id: u128` (16) + `parent_span: u64` (8).
 pub const TRACE_PREFIX_LEN: usize = 24;
 
 /// `role` byte in a health response: a model (shard) server.
@@ -99,14 +87,12 @@ pub const STATUS_ERR: u8 = 1;
 /// One parsed binary request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Predict a single raw feature vector.
-    Predict(Vec<f64>),
-    /// Predict a single raw feature vector under a caller-supplied trace
-    /// context (binary-only; see [`OP_PREDICT_TRACED`]).
-    PredictTraced {
-        /// The feature vector, as in [`Request::Predict`].
+    /// Predict a single raw feature vector under the caller's trace
+    /// context.
+    Predict {
+        /// The raw feature vector.
         point: Vec<f64>,
-        /// Caller's globally-unique trace id (`0` never sent).
+        /// Caller's globally-unique trace id (`0`: untraced).
         trace_id: u128,
         /// Span id of the caller's dispatch span (`0` for a root).
         parent_span: u64,
@@ -170,21 +156,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
 /// Encodes a request frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::Predict(point) => {
-            let mut out = Vec::with_capacity(1 + point.len() * 8);
-            out.push(OP_PREDICT);
-            for &v in point {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out
-        }
-        Request::PredictTraced {
+        Request::Predict {
             point,
             trace_id,
             parent_span,
         } => {
             let mut out = Vec::with_capacity(1 + TRACE_PREFIX_LEN + point.len() * 8);
-            out.push(OP_PREDICT_TRACED);
+            out.push(OP_PREDICT);
             out.extend_from_slice(&trace_id.to_le_bytes());
             out.extend_from_slice(&parent_span.to_le_bytes());
             for &v in point {
@@ -208,22 +186,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ServeError> {
         .ok_or_else(|| ServeError::Protocol("empty frame".to_string()))?;
     match op {
         OP_PREDICT => {
-            if body.len() % 8 != 0 {
-                return Err(ServeError::Protocol(format!(
-                    "predict body of {} bytes is not a whole number of f64s",
-                    body.len()
-                )));
-            }
-            let point = body
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(Request::Predict(point))
-        }
-        OP_PREDICT_TRACED => {
             if body.len() < TRACE_PREFIX_LEN {
                 return Err(ServeError::Protocol(format!(
-                    "traced predict body of {} bytes is shorter than the \
+                    "predict body of {} bytes is shorter than the \
                      {TRACE_PREFIX_LEN}-byte trace context",
                     body.len()
                 )));
@@ -233,7 +198,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ServeError> {
             let rest = &body[TRACE_PREFIX_LEN..];
             if rest.len() % 8 != 0 {
                 return Err(ServeError::Protocol(format!(
-                    "traced predict point of {} bytes is not a whole number of f64s",
+                    "predict point of {} bytes is not a whole number of f64s",
                     rest.len()
                 )));
             }
@@ -241,7 +206,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ServeError> {
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
                 .collect();
-            Ok(Request::PredictTraced {
+            Ok(Request::Predict {
                 point,
                 trace_id,
                 parent_span,
@@ -326,8 +291,7 @@ pub struct ServerInfo {
     pub uptime_micros: u64,
     /// Crate version of the serving binary (`CARGO_PKG_VERSION`).
     pub version: String,
-    /// Compile-time build stamp (`HKRR_BUILD_STAMP`, `"dev"` by default;
-    /// empty when talking to a legacy server).
+    /// Compile-time build stamp (`HKRR_BUILD_STAMP`, `"dev"` by default).
     pub build_stamp: String,
 }
 
@@ -369,30 +333,16 @@ pub fn encode_info(info: &ServerInfo) -> Vec<u8> {
     out
 }
 
-/// Decodes an info response body. A legacy 12-byte body (`dim`, `n_train`
-/// only) decodes with zero uptime and empty identity strings.
+/// Decodes an info response body.
 pub fn decode_info(body: &[u8]) -> Result<ServerInfo, ServeError> {
-    if body.len() < 12 {
+    if body.len() < 20 {
         return Err(ServeError::Protocol(format!(
-            "info body is {} bytes, expected at least 12",
+            "info body is {} bytes, expected at least 20",
             body.len()
         )));
     }
     let dim = u32::from_le_bytes(body[0..4].try_into().unwrap());
     let n_train = u64::from_le_bytes(body[4..12].try_into().unwrap());
-    if body.len() == 12 {
-        return Ok(ServerInfo {
-            dim,
-            n_train,
-            ..ServerInfo::default()
-        });
-    }
-    if body.len() < 20 {
-        return Err(ServeError::Protocol(format!(
-            "info body is {} bytes, expected 12 (legacy) or at least 20",
-            body.len()
-        )));
-    }
     let uptime_micros = u64::from_le_bytes(body[12..20].try_into().unwrap());
     let mut at = 20;
     let version = take_short_string(body, &mut at)?;
@@ -412,63 +362,35 @@ pub fn decode_info(body: &[u8]) -> Result<ServerInfo, ServeError> {
     })
 }
 
-/// A decoded health response: liveness, role, and protocol capability.
+/// A decoded health response: liveness and role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
     /// [`ROLE_MODEL`] or [`ROLE_ROUTER`].
     pub role: u8,
     /// Cumulative predict requests answered by the peer.
     pub requests: u64,
-    /// Highest request opcode the peer accepts. Legacy 9-byte bodies
-    /// decode as [`OP_METRICS`] (0x07): a pre-0x08 peer that must be sent
-    /// plain [`OP_PREDICT`] frames.
-    pub max_opcode: u8,
 }
 
-impl HealthReport {
-    /// Whether the peer accepts [`OP_PREDICT_TRACED`] frames.
-    pub fn supports_traced_predict(&self) -> bool {
-        self.max_opcode >= OP_PREDICT_TRACED
-    }
-}
-
-/// Encodes a health response body (10 bytes, capability byte included).
+/// Encodes a health response body (9 bytes).
 pub fn encode_health(role: u8, requests: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10);
-    out.push(role);
-    out.extend_from_slice(&requests.to_le_bytes());
-    out.push(MAX_OPCODE);
-    out
-}
-
-/// Encodes the legacy 9-byte health body of a pre-0x08 server. Production
-/// servers always advertise their capability; this exists so
-/// mixed-version tests can impersonate an old peer.
-pub fn encode_health_legacy(role: u8, requests: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     out.push(role);
     out.extend_from_slice(&requests.to_le_bytes());
     out
 }
 
-/// Decodes a health response body. The legacy 9-byte body (no capability
-/// byte) decodes with `max_opcode = OP_METRICS`; anything else that is not
-/// exactly 10 bytes is refused.
+/// Decodes a health response body; anything that is not exactly 9 bytes
+/// is refused.
 pub fn decode_health(body: &[u8]) -> Result<HealthReport, ServeError> {
-    if body.len() != 9 && body.len() != 10 {
+    if body.len() != 9 {
         return Err(ServeError::Protocol(format!(
-            "health body is {} bytes, expected 9 (legacy) or 10",
+            "health body is {} bytes, expected 9",
             body.len()
         )));
     }
     Ok(HealthReport {
         role: body[0],
         requests: u64::from_le_bytes(body[1..9].try_into().unwrap()),
-        max_opcode: if body.len() == 10 {
-            body[9]
-        } else {
-            OP_METRICS
-        },
     })
 }
 
@@ -495,12 +417,7 @@ pub fn decode_refreshed(body: &[u8]) -> Result<(u32, u64), ServeError> {
 }
 
 /// Parses one line-mode command. Returns `None` for `quit`/`exit` (close
-/// the connection).
-///
-/// Traced predict ([`OP_PREDICT_TRACED`]) has **no line-mode form**: a
-/// `predict-traced …` line is refused with a typed error (rendered as an
-/// `err …` reply, connection kept) rather than silently parsed as an
-/// untraced predict — trace ids are binary-frame-only.
+/// the connection). A line-mode `predict` is always untraced.
 pub fn parse_line(line: &str) -> Result<Option<Request>, ServeError> {
     let mut words = line.split_whitespace();
     match words.next() {
@@ -508,18 +425,17 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, ServeError> {
         Some("predict") => {
             let point: Result<Vec<f64>, _> = words.map(str::parse::<f64>).collect();
             match point {
-                Ok(p) if !p.is_empty() => Ok(Some(Request::Predict(p))),
+                Ok(point) if !point.is_empty() => Ok(Some(Request::Predict {
+                    point,
+                    trace_id: 0,
+                    parent_span: 0,
+                })),
                 Ok(_) => Err(ServeError::Protocol(
                     "predict needs at least one feature".to_string(),
                 )),
                 Err(e) => Err(ServeError::Protocol(format!("bad feature value: {e}"))),
             }
         }
-        Some("predict-traced") => Err(ServeError::Protocol(
-            "predict-traced is binary-only; open an HKRB framed connection to send \
-             trace context"
-                .to_string(),
-        )),
         Some("stats") => Ok(Some(Request::Stats)),
         Some("ping") => Ok(Some(Request::Ping)),
         Some("info") => Ok(Some(Request::Info)),
@@ -568,7 +484,11 @@ mod tests {
     fn requests_roundtrip_bitwise() {
         let point = vec![1.5, -2.25, f64::MIN_POSITIVE, 1e300];
         for req in [
-            Request::Predict(point),
+            Request::Predict {
+                point,
+                trace_id: 0,
+                parent_span: 0,
+            },
             Request::Stats,
             Request::Ping,
             Request::Info,
@@ -586,19 +506,19 @@ mod tests {
 
     #[test]
     fn traced_predict_roundtrips_bitwise() {
-        let req = Request::PredictTraced {
+        let req = Request::Predict {
             point: vec![1.5, -2.25, f64::MIN_POSITIVE, 1e300],
             trace_id: 0xfeed_beef_dead_cafe_0123_4567_89ab_cdef,
             parent_span: 42,
         };
         let payload = encode_request(&req);
-        assert_eq!(payload[0], OP_PREDICT_TRACED);
+        assert_eq!(payload[0], OP_PREDICT);
         assert_eq!(payload.len(), 1 + TRACE_PREFIX_LEN + 4 * 8);
         assert_eq!(decode_request(&payload).unwrap(), req);
 
         // Zero-length point is wire-legal at this layer (dimension checks
         // live in the engine).
-        let empty = Request::PredictTraced {
+        let empty = Request::Predict {
             point: vec![],
             trace_id: 1,
             parent_span: 0,
@@ -607,10 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn traced_predict_refuses_truncated_and_garbage_bodies() {
+    fn predict_refuses_truncated_and_garbage_bodies() {
         // Body shorter than the 24-byte trace context.
         for short in [0, 1, 8, 23] {
-            let mut payload = vec![OP_PREDICT_TRACED];
+            let mut payload = vec![OP_PREDICT];
             payload.extend_from_slice(&vec![0xAB; short]);
             match decode_request(&payload) {
                 Err(ServeError::Protocol(msg)) => {
@@ -620,7 +540,7 @@ mod tests {
             }
         }
         // Context present but point bytes not a multiple of 8.
-        let mut payload = vec![OP_PREDICT_TRACED];
+        let mut payload = vec![OP_PREDICT];
         payload.extend_from_slice(&[0u8; TRACE_PREFIX_LEN]);
         payload.extend_from_slice(&[1, 2, 3]);
         match decode_request(&payload) {
@@ -660,14 +580,6 @@ mod tests {
         let decoded = decode_info(decode_response(&info).unwrap()).unwrap();
         assert_eq!(decoded, full);
         assert_eq!(decoded.uptime_seconds(), 1.5);
-        // A legacy 12-byte body still decodes (zero uptime, no identity).
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&16u32.to_le_bytes());
-        legacy.extend_from_slice(&2000u64.to_le_bytes());
-        let decoded = decode_info(&legacy).unwrap();
-        assert_eq!((decoded.dim, decoded.n_train), (16, 2000));
-        assert_eq!(decoded.uptime_micros, 0);
-        assert!(decoded.version.is_empty());
         assert!(decode_prediction(&[0u8; 5]).is_err());
         assert!(decode_info(&[0u8; 5]).is_err());
         assert!(decode_info(&[0u8; 15]).is_err());
@@ -687,15 +599,8 @@ mod tests {
             HealthReport {
                 role: ROLE_ROUTER,
                 requests: 12345,
-                max_opcode: MAX_OPCODE,
             }
         );
-        assert!(report.supports_traced_predict());
-        // A legacy 9-byte body decodes as a pre-0x08 peer.
-        let legacy = decode_health(&encode_health_legacy(ROLE_MODEL, 7)).unwrap();
-        assert_eq!(legacy.requests, 7);
-        assert_eq!(legacy.max_opcode, OP_METRICS);
-        assert!(!legacy.supports_traced_predict());
         assert!(decode_health(&[0u8; 3]).is_err());
         assert!(decode_health(&[0u8; 11]).is_err());
 
@@ -708,10 +613,30 @@ mod tests {
     }
 
     #[test]
+    fn earlier_health_and_info_bodies_are_refused() {
+        // The 10-byte health body that carried a capability byte.
+        let mut health = encode_health(ROLE_MODEL, 7);
+        health.push(0x08);
+        assert!(matches!(
+            decode_health(&health),
+            Err(ServeError::Protocol(_))
+        ));
+        // The 12-byte info body without uptime and build identity.
+        let mut info = Vec::new();
+        info.extend_from_slice(&16u32.to_le_bytes());
+        info.extend_from_slice(&2000u64.to_le_bytes());
+        assert!(matches!(decode_info(&info), Err(ServeError::Protocol(_))));
+    }
+
+    #[test]
     fn line_commands_parse() {
         assert_eq!(
             parse_line("predict 1.0 -2.5 3").unwrap(),
-            Some(Request::Predict(vec![1.0, -2.5, 3.0]))
+            Some(Request::Predict {
+                point: vec![1.0, -2.5, 3.0],
+                trace_id: 0,
+                parent_span: 0,
+            })
         );
         assert_eq!(parse_line("stats").unwrap(), Some(Request::Stats));
         assert_eq!(parse_line("ping").unwrap(), Some(Request::Ping));
@@ -720,12 +645,6 @@ mod tests {
         assert_eq!(parse_line("refresh").unwrap(), Some(Request::Refresh));
         assert_eq!(parse_line("metrics").unwrap(), Some(Request::Metrics));
         assert_eq!(parse_line("quit").unwrap(), None);
-        // Traced predict is binary-only: the line form is refused with a
-        // typed error, not parsed as a plain predict.
-        match parse_line("predict-traced 1.0 2.0") {
-            Err(ServeError::Protocol(msg)) => assert!(msg.contains("binary-only")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
         assert!(parse_line("predict").is_err());
         assert!(parse_line("predict one two").is_err());
         assert!(parse_line("launch missiles").is_err());

@@ -2,7 +2,8 @@
 //!
 //! A [`RouterServer`] is the process in front of a fleet of per-shard
 //! `shard-serve` processes. It holds **only** the ensemble's shard
-//! centroids (a few kilobytes, read straight from the v3 file header via
+//! centroids (a few kilobytes, read straight from the ensemble file's
+//! `ENSH` section via
 //! [`crate::codec::load_layout`]) plus client connections — never a model —
 //! and it speaks the same `HKRB` protocol in both directions: a protocol
 //! *server* to the outside, a protocol *client* (via [`Client`]) of its N
@@ -33,15 +34,12 @@
 //!   at least one) is still served rather than errored.
 //!
 //! The router is also the root of cross-process request tracing: it mints
-//! a trace id per inbound query (or adopts the caller's on an
-//! [`crate::protocol::OP_PREDICT_TRACED`] request), stamps it on its
-//! `router.predict` / `router.dispatch` spans, and forwards it to each
-//! shard replica so the shard's engine spans join the same timeline.
-//! Capability is probed, not assumed: the health prober records each
-//! replica's `max_opcode` and the dispatcher falls back to plain
-//! `predict` — counting a `downgraded_dispatch` — for pre-0x08 peers.
-//! Every routed query also lands one structured event-log `request` line
-//! (when `HKRR_LOG` is set) and competes for the router's [`SlowLog`].
+//! a trace id per inbound query (or adopts the caller's non-zero one),
+//! stamps it on its `router.predict` / `router.dispatch` spans, and
+//! forwards it in every predict frame to the shard replicas, so the
+//! shard's engine spans join the same timeline. Every routed query also
+//! lands one structured event-log `request` line (when `HKRR_LOG` is set)
+//! and competes for the router's [`SlowLog`].
 
 use crate::client::Client;
 use crate::protocol::{Request, WirePrediction, ROLE_ROUTER};
@@ -57,17 +55,10 @@ use hkrr_telemetry::log::{self, Level};
 use hkrr_telemetry::trace::{self, TraceContext};
 use hkrr_telemetry::{Counter, Histogram, HistogramSpec};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Replica traced-predict capability: not yet probed.
-const TRACED_UNKNOWN: u8 = 0;
-/// Replica traced-predict capability: health reported `max_opcode >= 0x08`.
-const TRACED_YES: u8 = 1;
-/// Replica traced-predict capability: pre-0x08 peer — dispatch plain.
-const TRACED_NO: u8 = 2;
 
 /// Monotone router id so several routers in one process (tests) keep
 /// distinct label sets in the shared registry.
@@ -112,12 +103,6 @@ struct Replica {
     addr: String,
     conn: Mutex<Option<Client>>,
     healthy: AtomicBool,
-    /// Whether this replica accepts `OP_PREDICT_TRACED` (0x08), learned
-    /// from the `max_opcode` byte of its health reply: one of
-    /// [`TRACED_UNKNOWN`], [`TRACED_YES`], [`TRACED_NO`]. While unknown
-    /// the router dispatches plain (safe against pre-0x08 peers) without
-    /// counting a downgrade.
-    traced_support: AtomicU8,
     /// Requests currently being answered by this replica — the
     /// least-loaded routing key.
     inflight: AtomicU64,
@@ -161,7 +146,6 @@ impl Replica {
             // so a router can start before its shard fleet finishes coming
             // up without permanently blacklisting anyone.
             healthy: AtomicBool::new(true),
-            traced_support: AtomicU8::new(TRACED_UNKNOWN),
             inflight: AtomicU64::new(0),
             dispatched,
             failures,
@@ -170,16 +154,14 @@ impl Replica {
     }
 
     /// One request/response against this replica, reusing the cached
-    /// connection when possible. `trace` carries the `(trace_id,
-    /// parent_span)` to forward as an `OP_PREDICT_TRACED` frame — the
-    /// caller only passes `Some` when this replica is known to accept
-    /// 0x08. On any error the cached connection is dropped and the
-    /// replica is marked unhealthy (the prober re-admits it when it
-    /// answers again).
+    /// connection when possible. `trace` is the context to forward (see
+    /// [`Client::predict_traced`]). On any error the cached connection is
+    /// dropped and the replica is marked unhealthy (the prober re-admits
+    /// it when it answers again).
     fn call(
         &self,
         point: &[f64],
-        trace: Option<(u128, u64)>,
+        trace: TraceContext,
         connect_timeout: Duration,
         io_timeout: Duration,
     ) -> Result<WirePrediction, ServeError> {
@@ -195,13 +177,7 @@ impl Replica {
                 )?);
             }
             let client = guard.as_mut().expect("connection just established");
-            let outcome = match trace {
-                Some((trace_id, parent_span)) => {
-                    client.predict_traced(point.to_vec(), trace_id, parent_span)
-                }
-                None => client.predict(point.to_vec()),
-            };
-            match outcome {
+            match client.predict_traced(point.to_vec(), trace.trace_id, trace.parent_span) {
                 Ok(p) => Ok(p),
                 Err(e @ (ServeError::Io(_) | ServeError::Protocol(_))) => {
                     // The stream may be desynced or dead — never reuse it.
@@ -273,9 +249,6 @@ struct RouterInner {
     degraded: Arc<Counter>,
     /// Queries answered with zero contributions (errors to the caller).
     exhausted: Arc<Counter>,
-    /// Traced dispatches downgraded to plain `predict` because the
-    /// replica's health reply reported a pre-0x08 `max_opcode`.
-    downgraded_dispatches: Arc<Counter>,
     /// End-to-end routed-query latency (fan-out + combine).
     latency_micros: Arc<Histogram>,
     /// Top-N slowest routed queries (trace ids + fan-out context),
@@ -294,20 +267,17 @@ impl RouterInner {
     /// Routes one point to shard processes and combines the replies —
     /// bitwise the in-process ensemble when all shards are reachable.
     ///
-    /// `inbound` is the caller's trace context for an `OP_PREDICT_TRACED`
-    /// request. For a plain predict the router mints its own context —
-    /// but only when tracing or event logging is actually on, so the
-    /// fully-disabled path dispatches byte-identical plain `OP_PREDICT`
-    /// frames.
-    fn predict(
-        &self,
-        point: &[f64],
-        inbound: Option<TraceContext>,
-    ) -> Result<WirePrediction, ServeError> {
-        let ctx = match inbound {
-            Some(ctx) => Some(ctx),
-            None if trace::enabled() || log::enabled() => Some(TraceContext::mint()),
-            None => None,
+    /// `inbound` is the caller's trace context. For an untraced caller
+    /// (zero trace id) the router mints its own context — but only when
+    /// tracing or event logging is actually on, so the fully-disabled path
+    /// forwards a zero trace id.
+    fn predict(&self, point: &[f64], inbound: TraceContext) -> Result<WirePrediction, ServeError> {
+        let ctx = if inbound.trace_id != 0 {
+            Some(inbound)
+        } else if trace::enabled() || log::enabled() {
+            Some(TraceContext::mint())
+        } else {
+            None
         };
         let trace_id = ctx.map_or(0, |c| c.trace_id);
         if point.len() != self.dim() {
@@ -358,21 +328,9 @@ impl RouterInner {
                         parent_span: predict_span_id,
                     });
                 }
-                // Forward the trace only to peers whose health reply
-                // advertised 0x08; a known-legacy peer downgrades the
-                // dispatch to plain predict, an unprobed one dispatches
-                // plain without counting a downgrade.
-                let forward = if trace_id != 0 {
-                    match replica.traced_support.load(Ordering::Acquire) {
-                        TRACED_YES => Some((trace_id, dispatch_span.id())),
-                        TRACED_NO => {
-                            self.downgraded_dispatches.inc();
-                            None
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
+                let forward = TraceContext {
+                    trace_id,
+                    parent_span: dispatch_span.id(),
                 };
                 let dispatch_started = Instant::now();
                 match replica.call(point, forward, self.connect_timeout, self.io_timeout) {
@@ -486,7 +444,6 @@ impl RouterInner {
         w.field_u64("failovers", self.failovers.get());
         w.field_u64("degraded", self.degraded.get());
         w.field_u64("exhausted", self.exhausted.get());
-        w.field_u64("downgraded_dispatches", self.downgraded_dispatches.get());
         w.field_usize("shards", self.pools.len());
         w.field_usize("route_nearest", self.route_nearest);
         w.key("replicas");
@@ -501,8 +458,6 @@ impl RouterInner {
                 w.field_u64("inflight", replica.inflight.load(Ordering::Acquire));
                 w.field_u64("dispatched", replica.dispatched.get());
                 w.field_u64("failures", replica.failures.get());
-                w.key("supports_traced");
-                w.value_bool(replica.traced_support.load(Ordering::Acquire) == TRACED_YES);
                 w.end_object();
             }
         }
@@ -522,17 +477,16 @@ struct RouterHandler {
 impl RequestHandler for RouterHandler {
     fn handle(&self, req: Request) -> Result<Reply, ServeError> {
         match req {
-            Request::Predict(point) => Ok(Reply::Prediction(self.inner.predict(&point, None)?)),
-            Request::PredictTraced {
+            Request::Predict {
                 point,
                 trace_id,
                 parent_span,
             } => Ok(Reply::Prediction(self.inner.predict(
                 &point,
-                Some(TraceContext {
+                TraceContext {
                     trace_id,
                     parent_span,
-                }),
+                },
             )?)),
             Request::Stats => Ok(Reply::Json(self.inner.stats_json())),
             Request::Ping => Ok(Reply::Pong),
@@ -692,11 +646,6 @@ impl RouterServer {
                 "Queries answered with zero contributions (errors)",
                 &labels,
             ),
-            downgraded_dispatches: registry.counter(
-                "hkrr_router_downgraded_dispatches_total",
-                "Traced dispatches downgraded to plain predict for pre-0x08 replicas",
-                &labels,
-            ),
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
             latency_micros: registry.histogram(
                 "hkrr_router_request_latency_micros",
@@ -775,12 +724,6 @@ impl RouterServer {
         self.inner.degraded.get()
     }
 
-    /// Traced dispatches downgraded to plain `predict` because the target
-    /// replica's health reply reported a pre-0x08 `max_opcode`.
-    pub fn downgraded_dispatches(&self) -> u64 {
-        self.inner.downgraded_dispatches.get()
-    }
-
     /// Stops the prober and the front-end. Idempotent.
     pub fn shutdown(&self) {
         self.prober_running.store(false, Ordering::Release);
@@ -813,20 +756,12 @@ fn probe_loop(inner: &RouterInner, running: &AtomicBool, interval: Duration) {
             for replica in &pool.replicas {
                 let outcome = Client::connect_with(&replica.addr, connect_timeout, io_timeout)
                     .and_then(|mut c| {
-                        let health = c.health()?;
+                        c.health()?;
                         if !have_n_train && shard_n_train.is_none() {
                             shard_n_train = Some(c.info()?.n_train);
                         }
-                        Ok(health)
+                        Ok(())
                     });
-                if let Ok(health) = &outcome {
-                    let support = if health.supports_traced_predict() {
-                        TRACED_YES
-                    } else {
-                        TRACED_NO
-                    };
-                    replica.traced_support.store(support, Ordering::Release);
-                }
                 replica.healthy.store(outcome.is_ok(), Ordering::Release);
             }
             match shard_n_train {

@@ -110,7 +110,7 @@ impl ModelSource {
     /// Loads (or re-loads) the model this source points at.
     pub fn load(&self) -> Result<Arc<dyn DecisionModel>, ServeError> {
         match self {
-            ModelSource::File(path) => Ok(codec::load_any(path)?.1.into_handle()),
+            ModelSource::File(path) => Ok(codec::load_any(path)?.into_handle()),
             ModelSource::EnsembleShard { path, index } => {
                 Ok(Arc::new(codec::load_shard(path, *index)?))
             }
@@ -129,16 +129,7 @@ struct EngineHandler {
 impl RequestHandler for EngineHandler {
     fn handle(&self, req: Request) -> Result<Reply, ServeError> {
         match req {
-            Request::Predict(point) => {
-                let p = self.engine.predict_one(point)?;
-                Ok(Reply::Prediction(WirePrediction {
-                    score: p.score,
-                    label: p.label,
-                    batch_size: p.batch_size as u32,
-                    latency_micros: p.latency.as_micros() as u64,
-                }))
-            }
-            Request::PredictTraced {
+            Request::Predict {
                 point,
                 trace_id,
                 parent_span,
@@ -751,11 +742,9 @@ mod tests {
         );
         assert!(scrape.contains("hkrr_uptime_seconds"));
         assert!(scrape.contains("hkrr_build_info{"));
-        // Health reports the model role, the predict count, and the 0x08
-        // capability.
+        // Health reports the model role and the predict count.
         let health = client.health().unwrap();
         assert_eq!((health.role, health.requests), (ROLE_MODEL, 8));
-        assert!(health.supports_traced_predict());
         // Refresh without a model source is a typed rejection, not a hang.
         assert!(matches!(client.refresh(), Err(ServeError::Rejected(_))));
         // Protocol-level rejection: wrong dimension.

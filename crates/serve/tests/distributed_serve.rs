@@ -1,15 +1,16 @@
 //! The distributed serving topology end to end, over real TCP:
 //!
 //! * one `Server` per shard, each loading ONE nested `SHnn` model from the
-//!   same saved v3 ensemble file (`ModelSource::EnsembleShard`),
+//!   same saved ensemble file (`ModelSource::EnsembleShard`),
 //! * a `RouterServer` in front holding only the file's centroids,
 //!
 //! and pins the acceptance criterion: a query routed over TCP through the
 //! router is **bitwise identical** to the in-process `EnsembleKrr` on the
 //! same shard set. On top of that: fleet-wide `refresh` through the
 //! router, replication with least-loaded spread, health-prober dark-replica
-//! detection, and the kill-a-shard failover scenario (bounded error rate,
-//! no hangs, disruption fields in the loadgen report).
+//! detection, the kill-a-shard failover scenario (bounded error rate,
+//! no hangs, disruption fields in the loadgen report), and typed refusal
+//! of predict frames without a trace context.
 
 use hkrr_core::{KrrConfig, SolverKind};
 use hkrr_datasets::registry::LETTER;
@@ -18,9 +19,11 @@ use hkrr_serve::client::Client;
 use hkrr_serve::codec;
 use hkrr_serve::engine::EngineConfig;
 use hkrr_serve::loadgen::{self, LoadgenConfig};
-use hkrr_serve::protocol::{ROLE_MODEL, ROLE_ROUTER};
+use hkrr_serve::protocol::{self, Request, ROLE_MODEL, ROLE_ROUTER};
 use hkrr_serve::router::{RouterConfig, RouterServer};
 use hkrr_serve::server::{ModelSource, Server, ServerConfig};
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -117,7 +120,6 @@ fn routed_over_tcp_is_bitwise_identical_to_the_in_process_ensemble() {
     let mut shard_client = Client::connect(&servers[0].local_addr().to_string()).unwrap();
     let shard_health = shard_client.health().unwrap();
     assert_eq!(shard_health.role, ROLE_MODEL);
-    assert!(shard_health.supports_traced_predict());
     assert_eq!(client.health().unwrap().role, ROLE_ROUTER);
 
     // The acceptance pin: every routed-over-TCP score equals the
@@ -153,6 +155,63 @@ fn routed_over_tcp_is_bitwise_identical_to_the_in_process_ensemble() {
     hkrr_bench::json::validate(&stats).unwrap();
     assert!(stats.contains("\"schema\":\"hkrr-router-stats/1\""));
     assert!(stats.contains("\"shards\":4"));
+
+    router.shutdown();
+    for s in &servers {
+        s.shutdown();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A bare predict frame (`0x01` + `d × f64`, no trace context), as builds
+/// before the one predict layout sent it, gets a status-1 reply from a
+/// model server and from a router; the same connection then answers a
+/// current-layout predict bitwise.
+#[test]
+fn bare_predict_frames_are_refused_and_the_connection_stays_usable() {
+    let (ens, ds) = trained(2, 160, 5);
+    let path = temp_model_path("bare_predict");
+    codec::save_ensemble(&ens, &path).unwrap();
+    let (servers, groups) = spawn_fleet(&path, 2, 1);
+    let router = router_over(&path, groups, 100);
+
+    let point = ds.test.row(0).to_vec();
+    let mut bare = vec![protocol::OP_PREDICT];
+    for v in &point {
+        bare.extend_from_slice(&v.to_le_bytes());
+    }
+    let current = protocol::encode_request(&Request::Predict {
+        point,
+        trace_id: 0,
+        parent_span: 0,
+    });
+    let targets = [
+        (
+            servers[0].local_addr(),
+            ens.models()[0].decision_values(&ds.test)[0],
+        ),
+        (router.local_addr(), ens.decision_values(&ds.test)[0]),
+    ];
+    for (addr, expected) in targets {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&protocol::BINARY_HELLO).unwrap();
+        protocol::write_frame(&mut stream, &bare).unwrap();
+        let reply = protocol::read_frame(&mut stream).unwrap();
+        assert_eq!(
+            reply[0],
+            protocol::STATUS_ERR,
+            "{addr}: a bare predict frame must be refused, got {:?}",
+            String::from_utf8_lossy(&reply[1..])
+        );
+        protocol::write_frame(&mut stream, &current).unwrap();
+        let reply = protocol::read_frame(&mut stream).unwrap();
+        let body = protocol::decode_response(&reply).unwrap();
+        let p = protocol::decode_prediction(body).unwrap();
+        assert_eq!(p.score, expected, "{addr}: score after the refusal");
+    }
 
     router.shutdown();
     for s in &servers {

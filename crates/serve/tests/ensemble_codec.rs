@@ -1,4 +1,4 @@
-//! Property tests of the codec's ensemble support (format version 3):
+//! Property tests of the codec's ensemble support:
 //!
 //! * an ensemble round-trips **bitwise** — including every shard's HSS
 //!   form and ULV factors,
@@ -6,9 +6,7 @@
 //!   nested format version) surfaces as a typed [`CodecError`], never a
 //!   panic.
 //!
-//! Old single-model versions and `info_lines` are pinned in
-//! `old_format_versions.rs` and `info_lines_versions.rs`, binaries of their
-//! own because they need genuine f64 `hss-pcg` models.
+//! `info_lines` is pinned in `info_lines_versions.rs`.
 
 use hkrr_core::{KrrConfig, SolverKind};
 use hkrr_datasets::registry::LETTER;
@@ -172,7 +170,7 @@ fn nested_ensemble_inside_a_shard_is_typed_not_recursive() {
     let inner_bytes = encode_ensemble(&inner);
     let dim = inner.dim();
 
-    // Hand-assemble an outer v3 ensemble file: an ENSH header declaring
+    // Hand-assemble an outer ensemble file: an ENSH header declaring
     // one shard, whose SH00 payload is the complete inner *ensemble* file.
     let mut ensh = Vec::new();
     ensh.push(0u8); // strategy: cluster
@@ -190,7 +188,7 @@ fn nested_ensemble_inside_a_shard_is_typed_not_recursive() {
     let sections: Vec<([u8; 4], &[u8])> = vec![(*b"ENSH", &ensh), (*b"SH00", &inner_bytes)];
     let mut outer = Vec::new();
     outer.extend_from_slice(b"HKRRMDL1");
-    outer.extend_from_slice(&3u32.to_le_bytes());
+    outer.extend_from_slice(&codec::VERSION.to_le_bytes());
     outer.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = HEADER_LEN + TABLE_ENTRY_LEN * sections.len();
     for (tag, body) in &sections {
@@ -210,19 +208,19 @@ fn nested_ensemble_inside_a_shard_is_typed_not_recursive() {
     }
 }
 
-/// `encoded_version` draws the same BadMagic/Truncated distinction as the
-/// full decoder: correct magic but no version word is `Truncated`.
+/// The decoder tells a cut-off file from a foreign one: correct magic but
+/// no version word is `Truncated`, a foreign header is `BadMagic`.
 #[test]
-fn encoded_version_distinguishes_truncation_from_foreign_files() {
+fn decode_any_distinguishes_truncation_from_foreign_files() {
     let (ens, _) = trained_ensemble(2, 130, 3, SolverKind::Hss);
     let bytes = encode_ensemble(&ens);
-    assert_eq!(codec::encoded_version(&bytes).unwrap(), 4);
+    assert_eq!(bytes[8..12], codec::VERSION.to_le_bytes());
     assert!(matches!(
-        codec::encoded_version(&bytes[..10]),
+        decode_any(&bytes[..10]),
         Err(CodecError::Truncated)
     ));
     assert!(matches!(
-        codec::encoded_version(b"PK\x03\x04"),
+        decode_any(b"PK\x03\x04"),
         Err(CodecError::BadMagic)
     ));
 }

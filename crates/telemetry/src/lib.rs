@@ -122,6 +122,26 @@ pub fn record_process_identity_with(registry: &Registry, build: BuildInfo, extra
         .set(uptime_seconds());
 }
 
+/// Escapes `s` for use inside a JSON string literal (the quotes are the
+/// caller's): the span and event-log writers share it.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,7 @@
 //! whole path is one relaxed atomic load, mirroring the `HKRR_TRACE`
 //! contract.
 
+use crate::json_escape;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write as _;
@@ -223,24 +224,6 @@ fn drain_loop() {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Start an event of `kind` at `level`. Returns an inert builder (no
 /// allocation, no clock read) when the log is disabled or the level is
 /// below the `HKRR_LOG_LEVEL` threshold; otherwise chain
@@ -259,7 +242,7 @@ pub fn event(level: Level, kind: &str) -> EventBuilder {
         "{{\"ts_us\":{},\"level\":\"{}\",\"event\":\"{}\",\"pid\":{}",
         ts_us,
         level.as_str(),
-        escape(kind),
+        json_escape(kind),
         std::process::id()
     ));
     EventBuilder { line: Some(line) }
@@ -276,8 +259,8 @@ impl EventBuilder {
         if let Some(line) = self.line.as_mut() {
             line.push_str(&format!(
                 ",\"{}\":\"{}\"",
-                escape(key),
-                escape(&value.to_string())
+                json_escape(key),
+                json_escape(&value.to_string())
             ));
         }
         self
@@ -287,7 +270,7 @@ impl EventBuilder {
     /// as a valid JSON number).
     pub fn num(mut self, key: &str, value: impl std::fmt::Display) -> Self {
         if let Some(line) = self.line.as_mut() {
-            line.push_str(&format!(",\"{}\":{}", escape(key), value));
+            line.push_str(&format!(",\"{}\":{}", json_escape(key), value));
         }
         self
     }

@@ -14,6 +14,7 @@
 //! whole path is one relaxed atomic load and no clock read — cheap enough
 //! to leave `span!` in hot training loops.
 
+use crate::json_escape;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -43,8 +44,8 @@ struct Sink {
 /// A request-scoped trace identity carried across process boundaries.
 ///
 /// The router mints one per inbound query ([`mint_trace_id`]), stamps its
-/// own spans with it, and forwards it to shard replicas inside the
-/// `OP_PREDICT_TRACED` frame; the shard engine adopts it so the merged
+/// own spans with it, and forwards it to shard replicas inside every
+/// predict frame; the shard engine adopts it so the merged
 /// timeline groups every process's spans under one id. `trace_id == 0`
 /// means "no trace context" and is never minted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,24 +89,6 @@ pub fn mint_trace_id() -> u128 {
     } else {
         id
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn init_locked(path: &Path) -> std::io::Result<bool> {
@@ -271,13 +254,13 @@ impl Drop for Span {
                     args.push(',');
                 }
                 first = false;
-                args.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
+                args.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
             }
             args.push('}');
         }
         let line = format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}{}}},",
-            escape(&active.name),
+            json_escape(&active.name),
             active.start_us,
             dur,
             std::process::id(),
