@@ -2,9 +2,9 @@
 //! dataset (here a GAS-like synthetic of configurable size), for the four
 //! orderings Natural / Kd / PCA / 2 Means, at λ = 4.
 
-use hkrr_bench::{config_for, dataset, print_series, scaled, train_timed};
+use hkrr_bench::{config_for, dataset, print_series, scaled};
 use hkrr_clustering::ClusteringMethod;
-use hkrr_core::SolverKind;
+use hkrr_core::{KrrModel, SolverKind};
 use hkrr_datasets::registry::GAS;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             let cfg = config_for(&GAS, method, SolverKind::Hss)
                 .with_h(h)
                 .with_lambda(4.0);
-            let (model, _) = train_timed(&ds, &cfg);
+            let model = KrrModel::fit(&ds.train, &ds.train_labels, &cfg).expect("training failed");
             mems.push(model.report().matrix_memory_mb());
         }
         columns.push((label.to_string(), mems));

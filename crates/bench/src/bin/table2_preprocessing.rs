@@ -4,9 +4,9 @@
 //! The paper uses 10k training / 1k test points; the default here is a
 //! laptop-scale fraction of that (scale with HKRR_BENCH_SCALE).
 
-use hkrr_bench::{config_for, dataset, print_table, scaled, test_accuracy, train_timed};
+use hkrr_bench::{config_for, dataset, print_table, scaled, test_accuracy};
 use hkrr_clustering::ClusteringMethod;
-use hkrr_core::SolverKind;
+use hkrr_core::{KrrModel, SolverKind};
 use hkrr_datasets::all_table2_specs;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         let mut last_accuracy = 0.0;
         for &method in &methods {
             let cfg = config_for(&spec, method, SolverKind::Hss);
-            let (model, _) = train_timed(&ds, &cfg);
+            let model = KrrModel::fit(&ds.train, &ds.train_labels, &cfg).expect("training failed");
             row.push(format!("{:.1}", model.report().matrix_memory_mb()));
             last_accuracy = test_accuracy(&model, &ds);
         }

@@ -3,9 +3,9 @@
 //! on 0.5M-4.5M points; the stand-ins default to laptop-scale sizes that
 //! preserve the relative ordering (scale up with HKRR_BENCH_SCALE).
 
-use hkrr_bench::{dataset, print_table, scaled, test_accuracy, train_timed};
+use hkrr_bench::{dataset, print_table, scaled, test_accuracy};
 use hkrr_clustering::ClusteringMethod;
-use hkrr_core::{KrrConfig, SolverKind};
+use hkrr_core::{KrrConfig, KrrModel, SolverKind};
 use hkrr_datasets::spec_by_name;
 
 fn main() {
@@ -28,8 +28,8 @@ fn main() {
             solver: SolverKind::HssWithHSampling,
             ..KrrConfig::default()
         };
-        let (model, timings) = train_timed(&ds, &cfg);
-        let secs = timings.total_seconds;
+        let model = KrrModel::fit(&ds.train, &ds.train_labels, &cfg).expect("training failed");
+        let secs = model.report().total_seconds();
         let acc = test_accuracy(&model, &ds);
         rows.push(vec![
             name.to_string(),

@@ -3,9 +3,9 @@
 //! solve) on SUSY-like and COVTYPE-like data, at a low and a high thread
 //! count ("cores" in the paper).
 
-use hkrr_bench::{config_for, dataset, print_table, scaled, train_timed, with_threads};
+use hkrr_bench::{config_for, dataset, print_table, scaled, with_threads};
 use hkrr_clustering::ClusteringMethod;
-use hkrr_core::SolverKind;
+use hkrr_core::{KrrModel, SolverKind};
 use hkrr_datasets::spec_by_name;
 
 fn main() {
@@ -36,7 +36,8 @@ fn main() {
                 SolverKind::HssWithHSampling,
             );
             let report = with_threads(threads, || {
-                let (model, _) = train_timed(&ds, &cfg);
+                let model =
+                    KrrModel::fit(&ds.train, &ds.train_labels, &cfg).expect("training failed");
                 model.report().clone()
             });
             rows[0].push(format!("{:.3}", report.h_construction_seconds));

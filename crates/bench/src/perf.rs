@@ -12,16 +12,21 @@
 //! future PRs are judged against recorded numbers instead of anecdotes.
 //!
 //! Schema `/4` adds a `dense_substrate` section: for every dense backend
-//! available on the host (`scalar`, `blocked`, and `avx2` where supported)
-//! it records GEMM GFLOP/s at n = 256 / 512 and a bulk pairwise-distance
-//! timing, each with its speedup over the scalar reference. CI gates on
-//! the GEMM speedup via `HKRR_REQUIRE_GEMM_SPEEDUP` (see `perf_snapshot`).
+//! available on the host (`scalar`, and `avx2` where supported) it records
+//! GEMM GFLOP/s at n = 256 / 512 and a bulk pairwise-distance timing, each
+//! with its speedup over the scalar reference. CI gates on the GEMM
+//! speedup via `HKRR_REQUIRE_GEMM_SPEEDUP` (see `perf_snapshot`).
 //!
 //! Schema `/5` adds `hss-pcg-f32` rows — the HSS-preconditioned CG solver
 //! with its ULV factors demoted to f32 storage — and a `factor_bytes`
 //! field on every case, so the snapshot tracks the mixed-precision memory
 //! win (f32 rows must come in well under half the f64 factor bytes)
 //! alongside the iteration-count cost it pays for it.
+//!
+//! Every solver case's phase times and `total_seconds` come from the
+//! model's [`TrainingReport`](hkrr_core::TrainingReport), so the total is
+//! the sum of the timed phases and leaves out normalization and the row
+//! permutation; an ensemble case's total is its fit wall time.
 //!
 //! The dense baseline runs once per workload (at the full thread count):
 //! its wall time anchors the dense-vs-hierarchical comparison, while the
@@ -36,9 +41,9 @@
 //! shared with the serving snapshot (`BENCH_serve.json`).
 
 use crate::json::JsonWriter;
-use crate::{dataset, test_accuracy, train_timed, with_threads};
+use crate::{dataset, test_accuracy, with_threads};
 use hkrr_clustering::ClusteringMethod;
-use hkrr_core::{accuracy, FactorPrecision, KrrConfig, SolverKind};
+use hkrr_core::{accuracy, FactorPrecision, KrrConfig, KrrModel, SolverKind};
 use hkrr_datasets::registry::{LETTER, SUSY};
 use hkrr_datasets::DatasetSpec;
 use hkrr_ensemble::{EnsembleConfig, EnsembleKrr, ShardStrategy};
@@ -125,7 +130,8 @@ pub struct PerfCase {
     pub pcg_seconds: f64,
     /// PCG iterations performed (`hss-pcg` rows only; 0 elsewhere).
     pub pcg_iterations: usize,
-    /// Total wall-clock training seconds.
+    /// Training seconds: the sum of the report's timed phases, or the
+    /// ensemble's fit wall time.
     pub total_seconds: f64,
     /// Test-set accuracy of the trained model.
     pub accuracy: f64,
@@ -191,7 +197,7 @@ pub struct GemmCell {
 /// Dense-substrate numbers for one backend.
 #[derive(Debug, Clone)]
 pub struct DenseSubstrateRow {
-    /// Backend name (`"scalar"` / `"blocked"` / `"avx2"`).
+    /// Backend name (`"scalar"` / `"avx2"`).
     pub backend: String,
     /// GEMM cells at n = 256 and n = 512.
     pub gemm: Vec<GemmCell>,
@@ -280,7 +286,9 @@ fn measure(
     threads: usize,
 ) -> PerfCase {
     let cfg = config_for(&workload.spec, cell.solver).with_factor_precision(cell.factor_precision);
-    let (model, timings) = with_threads(threads, || train_timed(ds, &cfg));
+    let model = with_threads(threads, || {
+        KrrModel::fit(&ds.train, &ds.train_labels, &cfg).expect("training failed")
+    });
     let accuracy = test_accuracy(&model, ds);
     let report = model.report();
     let dense_bytes = workload.n_train * workload.n_train * std::mem::size_of::<f64>();
@@ -295,12 +303,14 @@ fn measure(
         threads,
         n_train: workload.n_train,
         n_test: workload.n_test,
-        construction_seconds: timings.construction_seconds,
-        factorization_seconds: timings.factorization_seconds,
-        solve_seconds: timings.solve_seconds,
-        pcg_seconds: timings.pcg_seconds,
+        construction_seconds: report.assembly_seconds
+            + report.h_construction_seconds
+            + report.hss_construction_seconds(),
+        factorization_seconds: report.factorization_seconds,
+        solve_seconds: report.solve_seconds,
+        pcg_seconds: report.pcg_seconds,
         pcg_iterations: report.pcg_iterations,
-        total_seconds: timings.total_seconds,
+        total_seconds: report.total_seconds(),
         accuracy,
         matrix_memory_bytes: report.matrix_memory_bytes,
         factor_bytes: report.factor_bytes,

@@ -10,7 +10,8 @@
 //! clustering-based reordering, rank growth with dimension and bandwidth,
 //! near-linear memory and factorization scaling — depend on that geometric
 //! structure rather than on the exact UCI feature values, so the synthetic
-//! stand-ins preserve the relevant behaviour (see DESIGN.md §3).
+//! stand-ins preserve the relevant behaviour.  Each stand-in's dimension,
+//! cluster structure and paper hyperparameters are listed in [`registry`].
 
 pub mod generator;
 pub mod multiclass;

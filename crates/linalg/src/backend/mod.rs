@@ -3,22 +3,26 @@
 //! Every level-3 dense kernel in the workspace (GEMM in its three transpose
 //! variants, SYRK, triangular multi-solves) and the squared-distance kernels
 //! that feed kernel assembly, clustering and serve-time routing go through
-//! the [`DenseBackend`] trait.  Three implementations ship today:
+//! the [`DenseBackend`] trait.  Two implementations ship today:
 //!
 //! * [`BackendKind::Scalar`] — the reference implementation.  Bit-for-bit
 //!   the arithmetic the workspace had before the backend seam existed; the
 //!   bitwise-reproducibility suites pin against it.
-//! * [`BackendKind::Blocked`] — portable cache-blocked kernels (packed
-//!   micropanels, register tiling) with no architecture-specific code.
-//! * [`BackendKind::Avx2`] — the same blocking with explicit AVX2+FMA
-//!   microkernels via `std::arch`, selected only when the CPU reports the
+//! * [`BackendKind::Avx2`] — BLIS-style cache blocking (packed micropanels)
+//!   around an explicit AVX2+FMA 4×8 microkernel via `std::arch`, plus a
+//!   SIMD squared distance; selected only when the CPU reports the
 //!   features at runtime.
+//!
+//! What the two share is provided by the trait itself: the triangular row
+//! sweeps and the row-parallel distance loops over the backend's own
+//! per-pair [`DenseBackend::sq_distance`].  A backend implements only its
+//! name, the three GEMMs, SYRK and the per-pair distance.
 //!
 //! # Selection
 //!
 //! The active backend is chosen once, lazily, from the `HKRR_DENSE_BACKEND`
-//! environment variable (`scalar`, `blocked`, `avx2` or `auto`); unset or
-//! `auto` picks the fastest available implementation for the host.  Benches
+//! environment variable (`scalar`, `avx2` or `auto`); unset or `auto` picks
+//! `avx2` when the CPU reports AVX2+FMA and `scalar` otherwise.  Benches
 //! and tests may override the choice at runtime with [`set_active`].
 //!
 //! # Contract
@@ -38,26 +42,34 @@
 
 use crate::matrix::Matrix;
 use crate::LinalgResult;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-mod blocked;
 mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2Backend;
-pub use blocked::BlockedBackend;
 pub use scalar::ScalarBackend;
 
+/// Below this many output elements the row-parallel kernels run
+/// sequentially; spawning rayon tasks for tiny blocks costs more than the
+/// work itself.
+pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
+
 /// In-place dense kernels every backend must provide.
+///
+/// A backend implements its name, the three GEMMs, SYRK and the per-pair
+/// [`sq_distance`](DenseBackend::sq_distance); the triangular solves and the
+/// bulk distance kernels are provided on top of those.
 ///
 /// All `*_into` methods **overwrite** their output argument (they do not
 /// accumulate), so callers can reuse buffers across calls without clearing
 /// them.  Dimension mismatches panic, matching the historical free-function
 /// behaviour in [`crate::blas`].
 pub trait DenseBackend: Send + Sync {
-    /// Short stable name of the backend (`"scalar"`, `"blocked"`, `"avx2"`).
+    /// Short stable name of the backend (`"scalar"`, `"avx2"`).
     fn name(&self) -> &'static str;
 
     /// `C = A · B` with `A` being `m×k`, `B` `k×n` and `C` `m×n`.
@@ -80,14 +92,18 @@ pub trait DenseBackend: Send + Sync {
     /// Only the lower triangle (diagonal included) of `l` is read.  Returns
     /// [`crate::LinalgError::Singular`] on a zero diagonal entry; `b` is
     /// left partially updated in that case.
-    fn trsm_lower_into(&self, l: &Matrix, b: &mut Matrix) -> LinalgResult<()>;
+    fn trsm_lower_into(&self, l: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
+        trsm_lower_rowsweep(l, b)
+    }
 
     /// In-place backward substitution `B ← U⁻¹ B` for upper-triangular `U`.
     ///
     /// Only the upper triangle (diagonal included) of `u` is read.  Returns
     /// [`crate::LinalgError::Singular`] on a zero diagonal entry; `b` is
     /// left partially updated in that case.
-    fn trsm_upper_into(&self, u: &Matrix, b: &mut Matrix) -> LinalgResult<()>;
+    fn trsm_upper_into(&self, u: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
+        trsm_upper_rowsweep(u, b)
+    }
 
     /// Squared Euclidean distance between two equally-long points.
     ///
@@ -98,19 +114,29 @@ pub trait DenseBackend: Send + Sync {
 
     /// All-pairs squared distances: `out[i,j] = ‖x_i − y_j‖²` for the rows
     /// of `x` (`m×d`) and `y` (`n×d`), with `out` being `m×n`.
+    ///
+    /// Every entry is one [`sq_distance`](DenseBackend::sq_distance) call;
+    /// rows run in parallel once `out` holds 64 × 64 entries, which cannot
+    /// change any entry.
     fn sq_dists_into(&self, x: &Matrix, y: &Matrix, out: &mut Matrix) {
         check_sq_dists(x, y, out);
         let n = y.nrows();
-        let y_ref = y;
-        out.data_mut()
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| {
-                let xi = x.row(i);
-                for (j, oj) in row.iter_mut().enumerate() {
-                    *oj = self.sq_distance(xi, y_ref.row(j));
-                }
-            });
+        let fill_row = |i: usize, row: &mut [f64]| {
+            let xi = x.row(i);
+            for (j, oj) in row.iter_mut().enumerate() {
+                *oj = self.sq_distance(xi, y.row(j));
+            }
+        };
+        if x.nrows() * n < PAR_THRESHOLD {
+            for i in 0..x.nrows() {
+                fill_row(i, out.row_mut(i));
+            }
+        } else {
+            out.data_mut()
+                .par_chunks_mut(n)
+                .enumerate()
+                .for_each(|(i, row)| fill_row(i, row));
+        }
     }
 
     /// Squared distances from every row of `points` (`m×d`) to one point:
@@ -128,9 +154,7 @@ pub trait DenseBackend: Send + Sync {
 pub enum BackendKind {
     /// Reference implementation with the pre-seam arithmetic (bitwise pinned).
     Scalar,
-    /// Portable cache-blocked kernels, no architecture-specific code.
-    Blocked,
-    /// Cache-blocked kernels with explicit AVX2+FMA microkernels.
+    /// Cache-blocked kernels with an explicit AVX2+FMA microkernel.
     Avx2,
 }
 
@@ -139,7 +163,6 @@ impl BackendKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Blocked => "blocked",
             BackendKind::Avx2 => "avx2",
         }
     }
@@ -148,7 +171,6 @@ impl BackendKind {
     pub fn parse(name: &str) -> Option<BackendKind> {
         match name.to_ascii_lowercase().as_str() {
             "scalar" => Some(BackendKind::Scalar),
-            "blocked" => Some(BackendKind::Blocked),
             "avx2" => Some(BackendKind::Avx2),
             _ => None,
         }
@@ -157,7 +179,7 @@ impl BackendKind {
     /// Whether this backend can run on the current host.
     pub fn is_available(self) -> bool {
         match self {
-            BackendKind::Scalar | BackendKind::Blocked => true,
+            BackendKind::Scalar => true,
             BackendKind::Avx2 => avx2_supported(),
         }
     }
@@ -170,7 +192,6 @@ impl BackendKind {
     pub fn instance(self) -> &'static dyn DenseBackend {
         match self {
             BackendKind::Scalar => &scalar::SCALAR,
-            BackendKind::Blocked => &blocked::BLOCKED,
             BackendKind::Avx2 => avx2_instance(),
         }
     }
@@ -178,16 +199,14 @@ impl BackendKind {
     fn to_u8(self) -> u8 {
         match self {
             BackendKind::Scalar => 1,
-            BackendKind::Blocked => 2,
-            BackendKind::Avx2 => 3,
+            BackendKind::Avx2 => 2,
         }
     }
 
     fn from_u8(v: u8) -> Option<BackendKind> {
         match v {
             1 => Some(BackendKind::Scalar),
-            2 => Some(BackendKind::Blocked),
-            3 => Some(BackendKind::Avx2),
+            2 => Some(BackendKind::Avx2),
             _ => None,
         }
     }
@@ -228,14 +247,14 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The backends usable on this host, scalar first.
 pub fn available_backends() -> Vec<BackendKind> {
-    [BackendKind::Scalar, BackendKind::Blocked, BackendKind::Avx2]
+    [BackendKind::Scalar, BackendKind::Avx2]
         .into_iter()
         .filter(|k| k.is_available())
         .collect()
 }
 
-/// Picks the default backend: `HKRR_DENSE_BACKEND` if set, otherwise the
-/// fastest implementation the host supports.
+/// Picks the default backend: `HKRR_DENSE_BACKEND` if set, otherwise
+/// `avx2` when the CPU reports AVX2+FMA and `scalar` when it does not.
 ///
 /// # Panics
 /// Panics if `HKRR_DENSE_BACKEND` names an unknown or unavailable backend —
@@ -244,7 +263,7 @@ fn default_kind() -> BackendKind {
     match std::env::var("HKRR_DENSE_BACKEND") {
         Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => {
             let kind = BackendKind::parse(&v).unwrap_or_else(|| {
-                panic!("HKRR_DENSE_BACKEND={v:?}: expected scalar, blocked, avx2 or auto")
+                panic!("HKRR_DENSE_BACKEND={v:?}: expected scalar, avx2 or auto")
             });
             assert!(
                 kind.is_available(),
@@ -256,7 +275,7 @@ fn default_kind() -> BackendKind {
             if avx2_supported() {
                 BackendKind::Avx2
             } else {
-                BackendKind::Blocked
+                BackendKind::Scalar
             }
         }
     }
@@ -383,14 +402,14 @@ pub(crate) fn check_dists_to_point(points: &Matrix, center: &[f64], out: &[f64])
     );
 }
 
-/// Shared row-sweep forward substitution `B ← L⁻¹ B`.
+/// Row-sweep forward substitution `B ← L⁻¹ B`, the body of the provided
+/// [`DenseBackend::trsm_lower_into`].
 ///
 /// Element-for-element this performs the same scalar operation sequence as
 /// solving column by column (each `b[i][c]` receives the subtractions in
-/// ascending `j` order, then one divide), so every backend that uses it —
-/// including vectorized ones, which only batch the independent per-column
-/// ops — produces bitwise-identical results.
-pub(crate) fn trsm_lower_rowsweep(l: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
+/// ascending `j` order, then one divide), so the result does not depend on
+/// how the independent per-column ops are batched.
+fn trsm_lower_rowsweep(l: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
     check_trsm(l, b);
     let n = l.nrows();
     let r = b.ncols();
@@ -415,9 +434,10 @@ pub(crate) fn trsm_lower_rowsweep(l: &Matrix, b: &mut Matrix) -> LinalgResult<()
     Ok(())
 }
 
-/// Shared row-sweep backward substitution `B ← U⁻¹ B` (see
-/// [`trsm_lower_rowsweep`] for the determinism argument).
-pub(crate) fn trsm_upper_rowsweep(u: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
+/// Row-sweep backward substitution `B ← U⁻¹ B`, the body of the provided
+/// [`DenseBackend::trsm_upper_into`] (see [`trsm_lower_rowsweep`] for the
+/// determinism argument).
+fn trsm_upper_rowsweep(u: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
     check_trsm(u, b);
     let n = u.nrows();
     let r = b.ncols();
@@ -445,23 +465,18 @@ pub(crate) fn trsm_upper_rowsweep(u: &Matrix, b: &mut Matrix) -> LinalgResult<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas::relative_error;
     use crate::random::{gaussian_matrix, Pcg64};
 
     #[test]
     fn kind_roundtrip_and_parse() {
-        for kind in [BackendKind::Scalar, BackendKind::Blocked, BackendKind::Avx2] {
+        for kind in [BackendKind::Scalar, BackendKind::Avx2] {
             assert_eq!(BackendKind::parse(kind.as_str()), Some(kind));
             assert_eq!(BackendKind::from_u8(kind.to_u8()), Some(kind));
         }
         assert_eq!(BackendKind::parse("AVX2"), Some(BackendKind::Avx2));
         assert_eq!(BackendKind::parse("mmx"), None);
-    }
-
-    #[test]
-    fn scalar_and_blocked_always_available() {
-        let avail = available_backends();
-        assert!(avail.contains(&BackendKind::Scalar));
-        assert!(avail.contains(&BackendKind::Blocked));
+        assert_eq!(BackendKind::parse("blocked"), None);
     }
 
     #[test]
@@ -483,9 +498,91 @@ mod tests {
             let mut c = Matrix::zeros(13, 11);
             kind.instance().gemm_into(&a, &b, &mut c);
             assert!(
-                crate::blas::relative_error(&c_ref, &c) < 1e-13,
+                relative_error(&c_ref, &c) < 1e-13,
                 "backend {kind} disagrees with scalar"
             );
+        }
+    }
+
+    #[test]
+    fn gemm_is_bitwise_identical_at_one_and_four_threads() {
+        // 210·140·190 multiply-adds is far above avx2's small-product
+        // cutoff, so this runs the packed, row-block-parallel path.
+        let mut rng = Pcg64::seed_from_u64(37);
+        let a = gaussian_matrix(&mut rng, 210, 140);
+        let b = gaussian_matrix(&mut rng, 140, 190);
+        let at = a.transpose();
+        let bt = b.transpose();
+        let run = |threads: usize, kind: BackendKind| {
+            let be = kind.instance();
+            let mut c = Matrix::zeros(210, 190);
+            let mut c_tn = Matrix::zeros(210, 190);
+            let mut c_nt = Matrix::zeros(210, 190);
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| {
+                    be.gemm_into(&a, &b, &mut c);
+                    be.gemm_tn_into(&at, &b, &mut c_tn);
+                    be.gemm_nt_into(&a, &bt, &mut c_nt);
+                });
+            (c, c_tn, c_nt)
+        };
+        for kind in available_backends() {
+            let (c1, tn1, nt1) = run(1, kind);
+            let (c4, tn4, nt4) = run(4, kind);
+            assert_eq!(c1.data(), c4.data(), "{kind} gemm_into");
+            assert_eq!(tn1.data(), tn4.data(), "{kind} gemm_tn_into");
+            assert_eq!(nt1.data(), nt4.data(), "{kind} gemm_nt_into");
+        }
+    }
+
+    #[test]
+    fn zero_depth_products_overwrite_stale_output() {
+        let stale = || Matrix::from_fn(4, 3, |_, _| 7.0);
+        for kind in available_backends() {
+            let be = kind.instance();
+            let mut c = stale();
+            be.gemm_into(&Matrix::zeros(4, 0), &Matrix::zeros(0, 3), &mut c);
+            assert!(c.data().iter().all(|&v| v == 0.0), "{kind} gemm_into");
+            let mut c = stale();
+            be.gemm_tn_into(&Matrix::zeros(0, 4), &Matrix::zeros(0, 3), &mut c);
+            assert!(c.data().iter().all(|&v| v == 0.0), "{kind} gemm_tn_into");
+            let mut c = stale();
+            be.gemm_nt_into(&Matrix::zeros(4, 0), &Matrix::zeros(3, 0), &mut c);
+            assert!(c.data().iter().all(|&v| v == 0.0), "{kind} gemm_nt_into");
+            // An empty output is a no-op, not a panic.
+            let mut c = Matrix::zeros(0, 3);
+            be.gemm_into(&Matrix::zeros(0, 5), &Matrix::zeros(5, 3), &mut c);
+        }
+    }
+
+    #[test]
+    fn sq_dists_equal_per_pair_sq_distance_bitwise() {
+        let mut rng = Pcg64::seed_from_u64(43);
+        // 20·30 pairs run the sequential loop, 90·70 the row-parallel one;
+        // d = 3 and 18 sit on both sides of avx2's SIMD cutoff.
+        for (m, n) in [(20, 30), (90, 70)] {
+            assert_eq!(m * n < PAR_THRESHOLD, m == 20);
+            for d in [3, 18] {
+                let x = gaussian_matrix(&mut rng, m, d);
+                let y = gaussian_matrix(&mut rng, n, d);
+                for kind in available_backends() {
+                    let be = kind.instance();
+                    let mut out = Matrix::from_fn(m, n, |_, _| f64::NAN);
+                    be.sq_dists_into(&x, &y, &mut out);
+                    for i in 0..m {
+                        for j in 0..n {
+                            assert_eq!(
+                                out[(i, j)].to_bits(),
+                                be.sq_distance(x.row(i), y.row(j)).to_bits(),
+                                "{kind} sq_dists {m}x{n}x{d} entry ({i},{j})"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -508,26 +605,37 @@ mod tests {
             u[(i, i)] = 2.0 + g[(i, i)].abs();
         }
         let b = gaussian_matrix(&mut rng, n, 5);
-        let mut x = b.clone();
-        trsm_lower_rowsweep(&l, &mut x).unwrap();
-        let mut lx = Matrix::zeros(n, 5);
-        BackendKind::Scalar.instance().gemm_into(&l, &x, &mut lx);
-        assert!(crate::blas::relative_error(&b, &lx) < 1e-12);
-        let mut y = b.clone();
-        trsm_upper_rowsweep(&u, &mut y).unwrap();
-        let mut uy = Matrix::zeros(n, 5);
-        BackendKind::Scalar.instance().gemm_into(&u, &y, &mut uy);
-        assert!(crate::blas::relative_error(&b, &uy) < 1e-12);
+        let scalar = BackendKind::Scalar.instance();
+        for kind in available_backends() {
+            let be = kind.instance();
+            let mut x = b.clone();
+            be.trsm_lower_into(&l, &mut x).unwrap();
+            let mut lx = Matrix::zeros(n, 5);
+            scalar.gemm_into(&l, &x, &mut lx);
+            assert!(relative_error(&b, &lx) < 1e-12, "{kind} trsm_lower_into");
+            let mut y = b.clone();
+            be.trsm_upper_into(&u, &mut y).unwrap();
+            let mut uy = Matrix::zeros(n, 5);
+            scalar.gemm_into(&u, &y, &mut uy);
+            assert!(relative_error(&b, &uy) < 1e-12, "{kind} trsm_upper_into");
+        }
     }
 
     #[test]
     fn trsm_reports_singularity() {
-        let mut l = Matrix::identity(3);
-        l[(1, 1)] = 0.0;
-        let mut b = Matrix::zeros(3, 2);
-        assert!(matches!(
-            trsm_lower_rowsweep(&l, &mut b),
-            Err(crate::LinalgError::Singular { pivot: 1 })
-        ));
+        let mut t = Matrix::identity(3);
+        t[(1, 1)] = 0.0;
+        for kind in available_backends() {
+            let be = kind.instance();
+            let mut b = Matrix::zeros(3, 2);
+            assert!(matches!(
+                be.trsm_lower_into(&t, &mut b),
+                Err(crate::LinalgError::Singular { pivot: 1 })
+            ));
+            assert!(matches!(
+                be.trsm_upper_into(&t, &mut b),
+                Err(crate::LinalgError::Singular { pivot: 1 })
+            ));
+        }
     }
 }

@@ -6,18 +6,9 @@
 //! suite that pinned the old free functions keeps passing when pinned
 //! against this backend.
 
-use super::{
-    check_gemm, check_gemm_nt, check_gemm_tn, check_sq_dists, check_syrk, trsm_lower_rowsweep,
-    trsm_upper_rowsweep, DenseBackend,
-};
+use super::{check_gemm, check_gemm_nt, check_gemm_tn, check_syrk, DenseBackend, PAR_THRESHOLD};
 use crate::matrix::Matrix;
-use crate::LinalgResult;
 use rayon::prelude::*;
-
-/// Below this many output elements the parallel kernels fall back to the
-/// sequential path; spawning rayon tasks for tiny blocks costs more than the
-/// multiply itself.  (Moved verbatim from `crate::blas`.)
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
 
 pub(crate) static SCALAR: ScalarBackend = ScalarBackend;
 
@@ -121,14 +112,6 @@ impl DenseBackend for ScalarBackend {
         }
     }
 
-    fn trsm_lower_into(&self, l: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
-        trsm_lower_rowsweep(l, b)
-    }
-
-    fn trsm_upper_into(&self, u: &Matrix, b: &mut Matrix) -> LinalgResult<()> {
-        trsm_upper_rowsweep(u, b)
-    }
-
     fn sq_distance(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "sq_distance: length mismatch");
         x.iter()
@@ -138,30 +121,6 @@ impl DenseBackend for ScalarBackend {
                 d * d
             })
             .sum()
-    }
-
-    fn sq_dists_into(&self, x: &Matrix, y: &Matrix, out: &mut Matrix) {
-        check_sq_dists(x, y, out);
-        let n = y.nrows();
-        if x.nrows() * n < PAR_THRESHOLD {
-            for i in 0..x.nrows() {
-                let xi = x.row(i);
-                let row = out.row_mut(i);
-                for (j, oj) in row.iter_mut().enumerate() {
-                    *oj = self.sq_distance(xi, y.row(j));
-                }
-            }
-            return;
-        }
-        out.data_mut()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| {
-                let xi = x.row(i);
-                for (j, oj) in row.iter_mut().enumerate() {
-                    *oj = self.sq_distance(xi, y.row(j));
-                }
-            });
     }
 }
 

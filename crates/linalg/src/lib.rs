@@ -33,11 +33,11 @@
 //!
 //! Every level-3 product (GEMM/SYRK/TRSM) and bulk distance kernel routes
 //! through a single dispatch seam, the [`DenseBackend`] trait ([`backend`]):
-//! a `scalar` reference, a cache-`blocked` substrate, and an `avx2`
-//! SIMD substrate selected at startup by runtime feature detection (or
-//! pinned via the `HKRR_DENSE_BACKEND` environment variable).  Results are
-//! bitwise deterministic within a backend at any thread count and
-//! accuracy-bounded across backends.
+//! a `scalar` reference and a cache-blocked `avx2` SIMD substrate, chosen
+//! at startup by runtime feature detection (`avx2` when the CPU reports
+//! AVX2+FMA, `scalar` otherwise) or pinned via the `HKRR_DENSE_BACKEND`
+//! environment variable.  Results are bitwise deterministic within a
+//! backend at any thread count and accuracy-bounded across backends.
 //!
 //! ## Mixed precision
 //!

@@ -2,7 +2,7 @@
 //!
 //! The dense backends are deterministic *within* a backend (bitwise, at
 //! any thread count) but only accuracy-bounded *across* backends: the
-//! blocked and AVX2 substrates reassociate the k-reduction, so their
+//! cache-blocked AVX2 substrate reassociates the k-reduction, so its
 //! results may differ from the scalar reference in the last few ulps.
 //! These properties pin that contract: for random shapes — including the
 //! degenerate 0- and 1-dimension edges — every available backend must

@@ -984,44 +984,9 @@ fn cmd_trace_merge(args: &Args) -> Result<(), String> {
 // doctor: one-page fleet diagnosis off a live router.
 // ---------------------------------------------------------------------------
 
-/// p99 (µs) of one `{name}_bucket` histogram in a Prometheus text
-/// exposition, restricted to series carrying `label.0="label.1"`.
-/// `u64::MAX` means "in the +Inf overflow bucket".
-fn prom_histogram_p99(text: &str, name: &str, label: (&str, &str)) -> Option<u64> {
-    let prefix = format!("{name}_bucket{{");
-    let needle = format!("{}=\"{}\"", label.0, label.1);
-    let mut buckets: Vec<(f64, u64)> = Vec::new();
-    for line in text.lines() {
-        if !line.starts_with(&prefix) || !line.contains(&needle) {
-            continue;
-        }
-        let le_start = line.find("le=\"")? + 4;
-        let le_end = line[le_start..].find('"')? + le_start;
-        let le = match &line[le_start..le_end] {
-            "+Inf" => f64::INFINITY,
-            v => v.parse().ok()?,
-        };
-        let count: u64 = line.rsplit(' ').next()?.trim().parse().ok()?;
-        buckets.push((le, count));
-    }
-    buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    let total = buckets.last()?.1;
-    if total == 0 {
-        return None;
-    }
-    let target = ((total as f64) * 0.99).ceil() as u64;
-    for (le, cum) in buckets {
-        if cum >= target {
-            return Some(if le.is_finite() { le as u64 } else { u64::MAX });
-        }
-    }
-    None
-}
-
 fn fmt_p99(p99: Option<u64>) -> String {
     match p99 {
         None => "p99=n/a".to_string(),
-        Some(u64::MAX) => "p99=overflow".to_string(),
         Some(us) => format!("p99={us}us"),
     }
 }
@@ -1045,6 +1010,8 @@ fn doctor_page(addr: &str) -> Result<String, String> {
     let metrics = client
         .metrics()
         .map_err(|e| format!("metrics of {addr}: {e}"))?;
+    let scrape =
+        hkrr_bench::prom::parse(&metrics).map_err(|e| format!("metrics of {addr}: {e}"))?;
 
     let mut page = String::new();
     let _ = writeln!(page, "== hkrr fleet doctor: {addr} ==");
@@ -1072,29 +1039,21 @@ fn doctor_page(addr: &str) -> Result<String, String> {
     // Per-replica rows: router-side counters + p99 from the router's own
     // dispatch histogram, fleet-median delta, and a direct scrape of the
     // replica's engine stats (unreachable replicas are flagged, not fatal).
+    // A p99 past the last finite bucket reads as that bucket's bound.
     let replicas = json_objects(&stats, "replicas");
     let p99s: Vec<Option<u64>> = replicas
         .iter()
         .map(|r| {
             let addr = json_str(r, "addr")?;
-            prom_histogram_p99(
-                &metrics,
-                "hkrr_router_replica_latency_micros",
-                ("replica", &addr),
-            )
+            let latency = scrape
+                .histogram("hkrr_router_replica_latency_micros", &[("replica", &addr)])
+                .filter(|h| h.count > 0)?;
+            Some(latency.quantile(0.99) as u64)
         })
         .collect();
-    let mut finite: Vec<u64> = p99s
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|&v| v != u64::MAX)
-        .collect();
-    finite.sort_unstable();
-    let median_p99 = finite
-        .get(finite.len() / 2)
-        .copied()
-        .filter(|_| !finite.is_empty());
+    let mut known: Vec<u64> = p99s.iter().flatten().copied().collect();
+    known.sort_unstable();
+    let median_p99 = known.get(known.len() / 2).copied();
     let mut unhealthy: Vec<String> = Vec::new();
     let mut total_rejections = 0u64;
     let mut shard_slow: Vec<(u64, String, String, String)> = Vec::new();
@@ -1107,7 +1066,7 @@ fn doctor_page(addr: &str) -> Result<String, String> {
             unhealthy.push(format!("shard {shard} {raddr}"));
         }
         let delta = match (p99, median_p99) {
-            (Some(p), Some(m)) if *p != u64::MAX && m > 0 => {
+            (Some(p), Some(m)) if m > 0 => {
                 format!(
                     " ({:+.0}% vs fleet median)",
                     100.0 * (*p as f64 - m as f64) / m as f64
@@ -1217,7 +1176,7 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
 }
 
 const USAGE: &str =
-    "usage: hkrr-serve <save|train|info|serve|loadgen|bench|shard-serve|route|dbench|trace-merge|doctor> [options]
+    "usage: hkrr-serve <save|train|info|serve|loadgen|metrics|bench|shard-serve|route|dbench|trace-merge|doctor> [options]
   save         train a model on a synthetic dataset and persist it (hkrr-model/1);
                --shards K (K>1) trains a cluster-sharded ensemble
   info         print a persisted model's metadata (line-oriented key: value)

@@ -13,10 +13,10 @@ use hkrr::prelude::*;
 /// scalar reference run.
 ///
 /// The backends are only accuracy-equivalent, not bitwise-equivalent: the
-/// blocked/AVX2 substrates reassociate reductions, and the drift is then
-/// filtered through rank decisions inside the HSS compression. The bounds
-/// below are therefore set at the compression tolerance scale, far above
-/// ulp noise but far below anything that would move a prediction.
+/// cache-blocked AVX2 substrate reassociates reductions, and the drift is
+/// then filtered through rank decisions inside the HSS compression. The
+/// bounds below are therefore set at the compression tolerance scale, far
+/// above ulp noise but far below anything that would move a prediction.
 #[test]
 fn pipeline_quality_is_backend_independent() {
     let spec = spec_by_name("SUSY").unwrap();
